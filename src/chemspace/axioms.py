@@ -18,16 +18,7 @@ import numpy as np
 
 from .circles import circles_exact
 from .distances import MatrixOracle
-from .measures import (
-    MeasureSpec,
-    bottleneck_from_dmatrix,
-    diameter_from_dmatrix,
-    diversity_from_dmatrix,
-    dpp_from_dmatrix,
-    sum_bottleneck_from_dmatrix,
-    sum_diameter_from_dmatrix,
-    sum_diversity_from_dmatrix,
-)
+from .measures import MEASURES, MeasureSpec, Selection
 
 TOLERANCE = 1e-9
 
@@ -91,33 +82,19 @@ class World:
 
 
 def world_measure(spec: MeasureSpec, subset, world: World) -> float:
-    """Evaluate one measure on a subset of a world's points."""
+    """Evaluate one measure on a subset of a world's points, taken sorted and
+    without repeats. Circles is always solved exactly here."""
     idx = sorted(int(i) for i in set(subset))
     if not idx:
         return 0.0
-    kind = spec.kind
-    if kind == "richness":
-        return float(len({world.keys[i] for i in idx}))
-    if kind == "coverage":
-        covered: set[str] = set()
-        for i in idx:
-            covered |= world.fragments[i]
-        return float(len(covered))
-    if kind == "circles":
-        return float(circles_exact(idx, world.oracle, t=float(spec.param("t", 0.5))).count)
-    dmatrix = world.oracle.submatrix(idx)
-    if kind == "dpp":
-        value, _ = dpp_from_dmatrix(dmatrix)
-        return value
-    kernel = {
-        "diversity": diversity_from_dmatrix,
-        "sum_diversity": sum_diversity_from_dmatrix,
-        "diameter": diameter_from_dmatrix,
-        "sum_diameter": sum_diameter_from_dmatrix,
-        "bottleneck": bottleneck_from_dmatrix,
-        "sum_bottleneck": sum_bottleneck_from_dmatrix,
-    }[kind]
-    return float(kernel(dmatrix))
+    oracle = world.oracle
+
+    def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
+        return float(circles_exact(idx, oracle, t=float(spec.param("t"))).count), {}
+
+    sel = Selection(idx, lambda: oracle.submatrix(idx), pack,
+                    key=world.keys.__getitem__, fragments=world.fragments.__getitem__)
+    return MEASURES[spec.kind].batch(sel, spec)[0]
 
 
 def random_world(rng: np.random.Generator, size: int, dup_prob: float = 0.15) -> World:

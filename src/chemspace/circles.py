@@ -156,6 +156,21 @@ def greedy_pack_positions(
     return centers
 
 
+def _best_of_k(
+    dist_rows, n: int, t: float, restarts: int = DEFAULT_RESTARTS, seed: int = 0
+) -> list[int]:
+    """Best of k sphere-exclusion passes: the first in input order, the rest
+    over seeded random permutations; ties keep the earliest pass."""
+    rng = np.random.default_rng(seed)
+    best: list[int] | None = None
+    for restart in range(max(1, restarts)):
+        order = np.arange(n) if restart == 0 else rng.permutation(n)
+        centers = greedy_pack_positions(dist_rows, n, t, order)
+        if best is None or len(centers) > len(best):
+            best = centers
+    return best
+
+
 def circles_greedy(
     subset,
     oracle,
@@ -163,27 +178,16 @@ def circles_greedy(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> PackingResult:
-    """Best-of-k greedy sphere exclusion.
+    """Best-of-k greedy sphere exclusion over oracle rows.
 
-    The first pass scans in input order; the remaining passes use seeded
-    random permutations. Only center rows are ever materialized, so this
-    scales to large sets.
+    Only center rows are ever materialized, so this scales to large sets.
     """
     idx = np.asarray(list(subset), dtype=np.int64)
     if idx.size == 0:
         return PackingResult(count=0, centers=(), t=t, mode="greedy", optimal=False)
-    n = int(idx.size)
-    rng = np.random.default_rng(seed)
-
-    def dist_rows(pos: int) -> np.ndarray:
-        return oracle.row(int(idx[pos]), targets=idx)
-
-    best: list[int] | None = None
-    for restart in range(max(1, restarts)):
-        order = np.arange(n) if restart == 0 else rng.permutation(n)
-        centers = greedy_pack_positions(dist_rows, n, t, order)
-        if best is None or len(centers) > len(best):
-            best = centers
+    best = _best_of_k(
+        lambda pos: oracle.row(int(idx[pos]), targets=idx), int(idx.size), t, restarts, seed
+    )
     centers_idx = tuple(int(idx[p]) for p in best)
     return PackingResult(
         count=len(best), centers=centers_idx, t=t, mode="greedy", optimal=False
@@ -195,15 +199,7 @@ def greedy_pack_count(
 ) -> int:
     """Greedy packing count straight from a precomputed distance matrix."""
     n = dmatrix.shape[0]
-    if n == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    best = 0
-    for restart in range(max(1, restarts)):
-        order = np.arange(n) if restart == 0 else rng.permutation(n)
-        centers = greedy_pack_positions(lambda pos: dmatrix[pos], n, t, order)
-        best = max(best, len(centers))
-    return best
+    return len(_best_of_k(lambda pos: dmatrix[pos], n, t, restarts, seed)) if n else 0
 
 
 def circles_auto(
@@ -215,14 +211,13 @@ def circles_auto(
     seed: int = 0,
     exact_cap: int | None = None,
 ) -> PackingResult:
-    """Dispatch to the exact solver under the size cap, greedy above it."""
+    """Dispatch to the exact solver under the size cap, greedy above it.
+
+    This is the one place that chooses between the two for a spec's mode.
+    """
     idx = np.asarray(list(subset), dtype=np.int64)
     cap = resolve_exact_cap(exact_cap)
-    if mode == "exact":
-        return circles_exact(idx, oracle, t, exact_cap=cap)
-    if mode == "greedy":
-        return circles_greedy(idx, oracle, t, restarts=restarts, seed=seed)
-    if idx.size <= cap:
+    if mode == "exact" or (mode != "greedy" and idx.size <= cap):
         return circles_exact(idx, oracle, t, exact_cap=cap)
     return circles_greedy(idx, oracle, t, restarts=restarts, seed=seed)
 

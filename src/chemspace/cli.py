@@ -23,11 +23,17 @@ import numpy as np
 
 from . import __version__
 from .axioms import quadrant_table
-from .circles import resolve_exact_cap
 from .distances import TanimotoOracle
 from .errors import ChemSpaceError
 from .fingerprints import Fingerprint, load_dataset, write_dataset
-from .measures import MeasureSpec, evaluate_measure, parse_measure_spec
+from .measures import (
+    MeasureSpec,
+    Selection,
+    dataset_selection,
+    evaluate_selection,
+    parse_measure_spec,
+    validate_spec,
+)
 from .novelty import NOVELTY_KINDS, NoveltyContext
 from .protocols import (
     DEFAULT_PROTOCOL_MEASURES,
@@ -134,40 +140,39 @@ def _parse_measures(text: str) -> list[MeasureSpec]:
 # ---------------------------------------------------------------------------
 # Subcommands.
 
+def _checked(specs: list[MeasureSpec], dataset) -> Selection:
+    """Check every spec against the dataset size before any work, then return
+    the selection of all its records that the specs share."""
+    for spec in specs:
+        validate_spec(spec, size=len(dataset))
+    oracle = TanimotoOracle(dataset) if len(dataset) else None
+    return dataset_selection(np.arange(len(dataset)), dataset, oracle)
+
+
 def cmd_measure(args) -> int:
     dataset = load_dataset(args.input)
-    specs = _parse_measures(args.measures)
-    exact_cap = resolve_exact_cap(None)
-    rows = []
+    specs = [
+        MeasureSpec("circles", {**spec.params, "seed": args.seed})
+        if spec.kind == "circles" and "seed" not in spec.params
+        else spec
+        for spec in _parse_measures(args.measures)
+    ]
+    sel = _checked(specs, dataset)
     if len(dataset) == 0:
         print(f"warning: {args.input} holds no records; all measures are 0", file=sys.stderr)
-        for spec in specs:
-            rows.append(
-                {
-                    "measure": spec.key(),
-                    "value": 0.0,
-                    "set_size": 0,
-                    "metadata": {"empty": True},
-                    "wall_time_s": 0.0,
-                }
-            )
-    else:
-        oracle = TanimotoOracle(dataset)
-        subset = np.arange(len(dataset))
-        for spec in specs:
-            if spec.kind == "circles" and "seed" not in spec.params:
-                spec = MeasureSpec("circles", {**spec.params, "seed": args.seed})
-            start = time.perf_counter()
-            result = evaluate_measure(spec, subset, dataset=dataset, oracle=oracle, exact_cap=exact_cap)
-            rows.append(
-                {
-                    "measure": result.spec.key(),
-                    "value": result.value,
-                    "set_size": result.set_size,
-                    "metadata": result.metadata,
-                    "wall_time_s": round(time.perf_counter() - start, 6),
-                }
-            )
+    rows = []
+    for spec in specs:
+        start = time.perf_counter()
+        result = evaluate_selection(spec, sel)
+        rows.append(
+            {
+                "measure": result.spec.key(),
+                "value": result.value,
+                "set_size": result.set_size,
+                "metadata": result.metadata,
+                "wall_time_s": round(time.perf_counter() - start, 6),
+            }
+        )
     config = {"input": str(args.input), "measures": args.measures, "seed": args.seed}
     doc = _base_doc("measure", config)
     doc["results"] = rows
@@ -177,27 +182,22 @@ def cmd_measure(args) -> int:
 
 def cmd_compare(args) -> int:
     specs = _parse_measures(args.measures)
-    exact_cap = resolve_exact_cap(None)
     rows = []
     for ds_path in args.inputs:
         dataset = load_dataset(ds_path)
-        oracle = TanimotoOracle(dataset) if len(dataset) else None
-        subset = np.arange(len(dataset))
+        sel = _checked(specs, dataset)
         for spec in specs:
-            stochastic = spec.kind == "circles" and (
-                spec.param("mode", "auto") == "greedy"
-                or (spec.param("mode", "auto") == "auto" and len(dataset) > exact_cap)
-            )
-            seeds = range(args.repeats) if stochastic else [0]
-            values = []
-            for rep in seeds:
-                rep_spec = spec
-                if spec.kind == "circles":
-                    rep_spec = MeasureSpec("circles", {**spec.params, "seed": args.seed + rep})
-                result = evaluate_measure(
-                    rep_spec, subset, dataset=dataset, oracle=oracle, exact_cap=exact_cap
-                )
-                values.append(result.value)
+
+            def seeded(rep: int) -> MeasureSpec:
+                if spec.kind != "circles":
+                    return spec
+                return MeasureSpec("circles", {**spec.params, "seed": args.seed + rep})
+
+            first = evaluate_selection(seeded(0), sel)
+            # Only a greedy packing depends on the seed; circles_auto chose the mode.
+            stochastic = first.metadata.get("mode") == "greedy"
+            reps = range(1, args.repeats if stochastic else 1)
+            values = [first.value] + [evaluate_selection(seeded(rep), sel).value for rep in reps]
             mean = float(np.mean(values))
             rel_dev = 0.0
             if stochastic and mean != 0.0 and len(values) > 1:

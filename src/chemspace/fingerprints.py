@@ -171,10 +171,6 @@ class Dataset:
         return self.records[i]
 
     @property
-    def ids(self) -> list[str]:
-        return [rec.id for rec in self.records]
-
-    @property
     def labels(self) -> list[str | None]:
         return [rec.label for rec in self.records]
 

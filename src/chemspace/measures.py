@@ -1,50 +1,30 @@
-"""Distance-based coverage measures, richness, and the measure dispatch layer.
+"""The measure table: every measure kind, defined once.
 
 Every measure maps a set of molecules to a non-negative real and returns 0 on
 the empty set. Distance-based measures also return 0 for singletons, so the
 value never depends on an arbitrary single-point weight.
 
-Kernel functions (``*_from_dmatrix``) operate on a precomputed pairwise
-distance submatrix; the public wrappers take (indices, oracle) and are what
-the CLI and protocols go through.
+``MEASURES`` maps each kind to what it reads, its parameter checks, its value
+on a whole ``Selection`` and its per-step value inside the growth trackers.
+``evaluate_measure`` (library and CLI), the fixed-size protocol, the axiom
+worlds and the growth trackers all go through it; they differ only in how
+they build the selection and in the circles policy they pass. The kernels
+(``*_from_dmatrix``) operate on a precomputed pairwise distance submatrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import MeasureParamError, MeasureSizeError
+from .circles import DEFAULT_RESTARTS, circles_auto
+from .errors import MeasureParamError, MeasureSizeError, MissingFragmentsError
 from .fingerprints import Dataset
 
 DPP_EXACT_CAP = 2048
 DPP_NEGATIVE_CLAMP = 1e-12
-
-MEASURE_KINDS = (
-    "richness",
-    "diversity",
-    "sum_diversity",
-    "diameter",
-    "sum_diameter",
-    "bottleneck",
-    "sum_bottleneck",
-    "dpp",
-    "coverage",
-    "circles",
-    "gold_standard",
-)
-
-DISTANCE_BASED_KINDS = (
-    "diversity",
-    "sum_diversity",
-    "diameter",
-    "sum_diameter",
-    "bottleneck",
-    "sum_bottleneck",
-    "dpp",
-)
 
 
 @dataclass(frozen=True)
@@ -118,21 +98,38 @@ def parse_measure_spec(text: str) -> MeasureSpec:
     return spec
 
 
-def validate_spec(spec: MeasureSpec) -> None:
-    if spec.kind not in MEASURE_KINDS:
+def validate_spec(spec: MeasureSpec, size: int | None = None) -> None:
+    """Check a spec against the table; ``size`` is the set size it will run on."""
+    entry = MEASURES.get(spec.kind)
+    if entry is None:
         raise MeasureParamError(f"unknown measure kind: {spec.kind!r}")
-    if spec.kind == "circles":
-        t = spec.param("t")
-        if t is None:
-            raise MeasureParamError("circles requires parameter t")
-        if not isinstance(t, (int, float)) or not 0.0 <= float(t) < 1.0:
-            raise MeasureParamError(f"circles threshold t must be in [0,1), got {t!r}")
-        mode = spec.param("mode", "auto")
-        if mode not in ("auto", "exact", "greedy"):
-            raise MeasureParamError(f"circles mode must be auto|exact|greedy, got {mode!r}")
-        restarts = spec.param("restarts", 8)
-        if not isinstance(restarts, int) or restarts < 1:
-            raise MeasureParamError(f"circles restarts must be a positive integer, got {restarts!r}")
+    if entry.check is not None:
+        entry.check(spec, size)
+
+
+def _check_circles(spec: MeasureSpec, size: int | None) -> None:
+    t = spec.param("t")
+    if t is None:
+        raise MeasureParamError("circles requires parameter t")
+    if not isinstance(t, (int, float)) or not 0.0 <= float(t) < 1.0:
+        raise MeasureParamError(f"circles threshold t must be in [0,1), got {t!r}")
+    mode = spec.param("mode", "auto")
+    if mode not in ("auto", "exact", "greedy"):
+        raise MeasureParamError(f"circles mode must be auto|exact|greedy, got {mode!r}")
+    restarts = spec.param("restarts", DEFAULT_RESTARTS)
+    if not isinstance(restarts, int) or restarts < 1:
+        raise MeasureParamError(f"circles restarts must be a positive integer, got {restarts!r}")
+    seed = spec.param("seed", 0)
+    if not isinstance(seed, int) or seed < 0:
+        raise MeasureParamError(f"circles seed must be a non-negative integer, got {seed!r}")
+
+
+def _refuse_large_dpp(size: int | None) -> None:
+    if size is not None and size > DPP_EXACT_CAP:
+        raise MeasureSizeError(
+            f"dpp determinant refused for n={size} > {DPP_EXACT_CAP}: the value underflows "
+            "at this size; evaluate on a smaller set"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +197,7 @@ def dpp_from_dmatrix(dmatrix: np.ndarray) -> tuple[float, float | None]:
     n = dmatrix.shape[0]
     if n < 2:
         return 0.0, None
-    if n > DPP_EXACT_CAP:
-        raise MeasureSizeError(
-            f"dpp determinant refused for n={n} > {DPP_EXACT_CAP}: the value underflows "
-            "at this size; evaluate on a smaller set"
-        )
+    _refuse_large_dpp(n)
     sim = 1.0 - dmatrix
     np.fill_diagonal(sim, 1.0)
     raw = float(np.linalg.det(sim))
@@ -212,6 +205,180 @@ def dpp_from_dmatrix(dmatrix: np.ndarray) -> tuple[float, float | None]:
     if -DPP_NEGATIVE_CLAMP <= raw < 0.0:
         value = 0.0
     return max(value, 0.0), raw
+
+
+# ---------------------------------------------------------------------------
+# Selections and their builder for dataset records.
+
+@dataclass(eq=False)
+class Selection:
+    """One molecule set as the measure table reads it.
+
+    ``indices`` fixes the point order. ``dmatrix`` is the pairwise distance
+    submatrix in that order: ``submatrix()`` builds it on first use, and the
+    distance measures on the selection then share it. ``key``, ``label`` and
+    ``fragments`` read one point's fingerprint key, class label and fragment
+    set. ``pack(selection, spec)`` is the caller's circles policy; it returns
+    the count and the metadata to report.
+    """
+
+    indices: Any
+    submatrix: Callable[[], np.ndarray]
+    pack: Callable[["Selection", MeasureSpec], tuple[float, dict]]
+    key: Callable[[int], Any] | None = None
+    label: Callable[[int], Any] | None = None
+    fragments: Callable[[int], Any] | None = None
+    _dmatrix: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def dmatrix(self) -> np.ndarray:
+        if self._dmatrix is None:
+            self._dmatrix = self.submatrix()
+            self._dmatrix.setflags(write=False)
+        return self._dmatrix
+
+
+def dataset_readers(dataset: Dataset) -> dict[str, Callable[[int], Any]]:
+    """Per-record ``key``, ``label`` and ``fragments`` readers for a dataset."""
+    records = dataset.records
+
+    def label(i: int) -> str:
+        rec = records[i]
+        if rec.label is None:
+            raise MeasureParamError(f"record {rec.id!r} has no class label")
+        return rec.label
+
+    def fragments(i: int) -> frozenset[str]:
+        rec = records[i]
+        if rec.fragments is None:
+            raise MissingFragmentsError(f"record {rec.id!r} has no fragment annotations")
+        return rec.fragments
+
+    return {"key": dataset.fingerprint_key, "label": label, "fragments": fragments}
+
+
+def dataset_selection(
+    subset, dataset: Dataset | None = None, oracle=None, exact_cap: int | None = None
+) -> Selection:
+    """Selection of dataset records. Circles follows the spec's mode, and
+    ``circles_auto`` applies the exact cap."""
+    idx = _as_indices(subset)
+
+    def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
+        packing = circles_auto(
+            idx,
+            oracle,
+            t=float(spec.param("t")),
+            mode=str(spec.param("mode", "auto")),
+            restarts=int(spec.param("restarts", DEFAULT_RESTARTS)),
+            seed=int(spec.param("seed", 0)),
+            exact_cap=exact_cap,
+        )
+        return float(packing.count), {"mode": packing.mode, "optimal": packing.optimal}
+
+    readers = dataset_readers(dataset) if dataset is not None else {}
+    return Selection(idx, lambda: oracle.submatrix(idx), pack, **readers)
+
+
+# ---------------------------------------------------------------------------
+# The table.
+
+@dataclass(frozen=True)
+class Measure:
+    """One measure kind.
+
+    ``reads`` names its input: "distances", "keys", "labels" or "fragments".
+    ``check(spec, size)`` rejects bad parameters (None: nothing to check).
+    ``batch(selection, spec)`` returns the value on a whole selection and its
+    metadata. ``step(trackers, spec)`` returns the value from the running
+    state of ``protocols._GrowthTrackers`` after each added point.
+    """
+
+    reads: str
+    batch: Callable[[Selection, MeasureSpec], tuple[float, dict]]
+    step: Callable[[Any, MeasureSpec], float]
+    check: Callable[[MeasureSpec, int | None], None] | None = None
+
+
+def _covered(fragment_sets, spec: MeasureSpec) -> float:
+    covered = set().union(*fragment_sets)
+    universe = spec.param("universe")
+    return float(len(covered if universe is None else covered & universe))
+
+
+def _dpp_batch(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
+    value, raw = dpp_from_dmatrix(sel.dmatrix)
+    return value, {"convention": "size<=1"} if raw is None else {"raw_determinant": raw}
+
+
+# Batch entries call their kernel inside a lambda, so the module-level name is
+# looked up at call time and a replaced kernel (a tracer, a test) takes effect.
+MEASURES: dict[str, Measure] = {
+    "richness": Measure(
+        "keys", lambda s, spec: (float(len({s.key(i) for i in s.indices})), {}),
+        lambda tr, spec: float(len(tr.keys))),
+    "gold_standard": Measure(
+        "labels", lambda s, spec: (float(len({s.label(i) for i in s.indices})), {}),
+        lambda tr, spec: float(len(tr.labels))),
+    "coverage": Measure(
+        "fragments", lambda s, spec: (_covered(map(s.fragments, s.indices), spec), {}),
+        lambda tr, spec: _covered([tr.frag_union], spec)),
+    "diversity": Measure(
+        "distances", lambda s, spec: (diversity_from_dmatrix(s.dmatrix), {}),
+        lambda tr, spec: 2.0 * tr.pair_sum / (tr.size * (tr.size - 1)) if tr.size > 1 else 0.0),
+    "sum_diversity": Measure(
+        "distances", lambda s, spec: (sum_diversity_from_dmatrix(s.dmatrix), {}),
+        lambda tr, spec: 2.0 * tr.pair_sum / (tr.size - 1) if tr.size > 1 else 0.0),
+    "diameter": Measure(
+        "distances", lambda s, spec: (diameter_from_dmatrix(s.dmatrix), {}),
+        lambda tr, spec: tr.max_dist if tr.size > 1 else 0.0),
+    "sum_diameter": Measure(
+        "distances", lambda s, spec: (sum_diameter_from_dmatrix(s.dmatrix), {}),
+        lambda tr, spec: float(sum(tr.row_max)) if tr.size > 1 else 0.0),
+    "bottleneck": Measure(
+        "distances", lambda s, spec: (bottleneck_from_dmatrix(s.dmatrix), {}),
+        lambda tr, spec: tr.min_dist if tr.size > 1 else 0.0),
+    "sum_bottleneck": Measure(
+        "distances", lambda s, spec: (sum_bottleneck_from_dmatrix(s.dmatrix), {}),
+        lambda tr, spec: float(sum(tr.row_min)) if tr.size > 1 else 0.0),
+    "dpp": Measure(
+        "distances", _dpp_batch, lambda tr, spec: tr.dpp if tr.size > 1 else 0.0,
+        check=lambda spec, size: _refuse_large_dpp(size)),
+    "circles": Measure(
+        "distances", lambda s, spec: s.pack(s, spec),
+        lambda tr, spec: float(tr.packers[spec.key()].count), check=_check_circles),
+}
+
+
+def evaluate_selection(spec: MeasureSpec, sel: Selection) -> MeasureResult:
+    """Evaluate one (already validated) spec on a selection."""
+    size = len(sel.indices)
+    if size == 0:
+        return MeasureResult(spec=spec, value=0.0, set_size=0, metadata={"empty": True})
+    value, meta = MEASURES[spec.kind].batch(sel, spec)
+    return MeasureResult(spec=spec, value=value, set_size=size, metadata=meta)
+
+
+def evaluate_measure(
+    spec: MeasureSpec,
+    subset,
+    dataset: Dataset | None = None,
+    oracle=None,
+    exact_cap: int | None = None,
+) -> MeasureResult:
+    """Evaluate one measure spec on a molecule set.
+
+    ``oracle`` is required for distance-based kinds and circles; ``dataset``
+    for richness, coverage, and the gold standard. Circles follows the spec's
+    mode; ``exact_cap`` defaults to ``CHEMSPACE_EXACT_CAP`` or 64.
+    """
+    validate_spec(spec)
+    if MEASURES[spec.kind].reads == "distances":
+        if oracle is None:
+            raise MeasureParamError(f"{spec.kind} requires a distance oracle")
+    elif dataset is None:
+        raise MeasureParamError(f"{spec.kind} requires a dataset")
+    return evaluate_selection(spec, dataset_selection(subset, dataset, oracle, exact_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -225,127 +392,33 @@ def _as_indices(subset) -> np.ndarray:
 
 
 def diversity(subset, oracle) -> float:
-    idx = _as_indices(subset)
-    return diversity_from_dmatrix(oracle.submatrix(idx)) if idx.size else 0.0
+    return evaluate_measure(MeasureSpec("diversity"), subset, oracle=oracle).value
 
 
 def sum_diversity(subset, oracle) -> float:
-    idx = _as_indices(subset)
-    return sum_diversity_from_dmatrix(oracle.submatrix(idx)) if idx.size else 0.0
+    return evaluate_measure(MeasureSpec("sum_diversity"), subset, oracle=oracle).value
 
 
 def diameter(subset, oracle) -> float:
-    idx = _as_indices(subset)
-    return diameter_from_dmatrix(oracle.submatrix(idx)) if idx.size else 0.0
+    return evaluate_measure(MeasureSpec("diameter"), subset, oracle=oracle).value
 
 
 def sum_diameter(subset, oracle) -> float:
-    idx = _as_indices(subset)
-    return sum_diameter_from_dmatrix(oracle.submatrix(idx)) if idx.size else 0.0
+    return evaluate_measure(MeasureSpec("sum_diameter"), subset, oracle=oracle).value
 
 
 def bottleneck(subset, oracle) -> float:
-    idx = _as_indices(subset)
-    return bottleneck_from_dmatrix(oracle.submatrix(idx)) if idx.size else 0.0
+    return evaluate_measure(MeasureSpec("bottleneck"), subset, oracle=oracle).value
 
 
 def sum_bottleneck(subset, oracle) -> float:
-    idx = _as_indices(subset)
-    return sum_bottleneck_from_dmatrix(oracle.submatrix(idx)) if idx.size else 0.0
+    return evaluate_measure(MeasureSpec("sum_bottleneck"), subset, oracle=oracle).value
 
 
 def dpp(subset, oracle) -> float:
-    idx = _as_indices(subset)
-    if not idx.size:
-        return 0.0
-    value, _ = dpp_from_dmatrix(oracle.submatrix(idx))
-    return value
+    return evaluate_measure(MeasureSpec("dpp"), subset, oracle=oracle).value
 
 
 def richness(subset, dataset: Dataset) -> int:
     """Number of unique fingerprint bit patterns among the selected records."""
-    idx = _as_indices(subset)
-    return len({dataset.fingerprint_key(int(i)) for i in idx})
-
-
-def gold_standard(subset, dataset: Dataset) -> int:
-    """Number of unique class labels among the selected records."""
-    idx = _as_indices(subset)
-    labels = set()
-    for i in idx:
-        label = dataset.records[int(i)].label
-        if label is None:
-            raise MeasureParamError(f"record {dataset.records[int(i)].id!r} has no class label")
-        labels.add(label)
-    return len(labels)
-
-
-def evaluate_measure(
-    spec: MeasureSpec,
-    subset,
-    dataset: Dataset | None = None,
-    oracle=None,
-    exact_cap: int = 64,
-) -> MeasureResult:
-    """Evaluate one measure spec on a molecule set.
-
-    ``oracle`` is required for distance-based kinds and circles; ``dataset``
-    for richness, coverage, and the gold standard.
-    """
-    from .circles import circles_auto
-    from .reference import ReferenceSet, coverage
-
-    validate_spec(spec)
-    idx = _as_indices(subset)
-    size = int(idx.size)
-    meta: dict[str, Any] = {}
-
-    if spec.kind in DISTANCE_BASED_KINDS or spec.kind == "circles":
-        if oracle is None:
-            raise MeasureParamError(f"{spec.kind} requires a distance oracle")
-    if spec.kind in ("richness", "coverage", "gold_standard"):
-        if dataset is None:
-            raise MeasureParamError(f"{spec.kind} requires a dataset")
-
-    if size == 0:
-        return MeasureResult(spec=spec, value=0.0, set_size=0, metadata={"empty": True})
-
-    if spec.kind == "richness":
-        value = float(richness(idx, dataset))
-    elif spec.kind == "gold_standard":
-        value = float(gold_standard(idx, dataset))
-    elif spec.kind == "coverage":
-        universe = spec.param("universe")
-        ref = ReferenceSet(kind=str(spec.param("kind", "custom")), universe=universe)
-        value = float(coverage(idx, dataset, ref))
-    elif spec.kind == "circles":
-        packing = circles_auto(
-            idx,
-            oracle,
-            t=float(spec.param("t")),
-            mode=str(spec.param("mode", "auto")),
-            restarts=int(spec.param("restarts", 8)),
-            seed=int(spec.param("seed", 0)),
-            exact_cap=exact_cap,
-        )
-        value = float(packing.count)
-        meta["mode"] = packing.mode
-        meta["optimal"] = packing.optimal
-    elif spec.kind == "dpp":
-        value, raw = dpp_from_dmatrix(oracle.submatrix(idx)) if size else (0.0, None)
-        if raw is not None:
-            meta["raw_determinant"] = raw
-        else:
-            meta["convention"] = "size<=1"
-    else:
-        kernel = {
-            "diversity": diversity_from_dmatrix,
-            "sum_diversity": sum_diversity_from_dmatrix,
-            "diameter": diameter_from_dmatrix,
-            "sum_diameter": sum_diameter_from_dmatrix,
-            "bottleneck": bottleneck_from_dmatrix,
-            "sum_bottleneck": sum_bottleneck_from_dmatrix,
-        }[spec.kind]
-        value = kernel(oracle.submatrix(idx))
-
-    return MeasureResult(spec=spec, value=value, set_size=size, metadata=meta)
+    return int(evaluate_measure(MeasureSpec("richness"), subset, dataset=dataset).value)

@@ -113,8 +113,3 @@ NOVELTY_KINDS = {
     "circles": novelty_circles,
 }
 
-
-def score_stream(kind: str, ctx: NoveltyContext, candidates) -> list[float]:
-    """Score an iterable of candidates; used by the CLI stdin pipeline."""
-    fn = NOVELTY_KINDS[kind]
-    return [float(fn(c, ctx)) for c in candidates]

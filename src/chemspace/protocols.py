@@ -17,19 +17,18 @@ from typing import Any, Sequence
 import numpy as np
 import scipy.linalg
 
-from .circles import IncrementalPacking, greedy_pack_count
-from .errors import MeasureParamError, ProtocolError
+from .circles import DEFAULT_RESTARTS, IncrementalPacking, greedy_pack_count
+from .errors import MeasureParamError, MissingFragmentsError, ProtocolError
 from .fingerprints import Dataset
 from .distances import TanimotoOracle
 from .measures import (
+    MEASURES,
     MeasureSpec,
-    bottleneck_from_dmatrix,
-    diameter_from_dmatrix,
-    diversity_from_dmatrix,
-    dpp_from_dmatrix,
-    sum_bottleneck_from_dmatrix,
-    sum_diameter_from_dmatrix,
-    sum_diversity_from_dmatrix,
+    Selection,
+    dataset_readers,
+    evaluate_selection,
+    parse_measure_spec,
+    validate_spec,
 )
 from .stats import dtw, is_degenerate, spearman
 
@@ -71,12 +70,6 @@ class CurveSeries:
             k: np.concatenate(([v[0]], np.diff(v))) for k, v in self.values.items()
         }
         return CurveSeries(steps=self.steps, values=out, form="incremental")
-
-    def to_cumulative(self) -> "CurveSeries":
-        if self.form == "cumulative":
-            return self
-        out = {k: np.cumsum(v) for k, v in self.values.items()}
-        return CurveSeries(steps=self.steps, values=out, form="cumulative")
 
 
 @dataclass
@@ -128,12 +121,18 @@ def _require_labels(dataset: Dataset) -> None:
             raise ProtocolError(f"protocols need a fully labeled dataset; {rec.id!r} has no label")
 
 
-def _resolve_specs(measures: Sequence[MeasureSpec | str]) -> list[MeasureSpec]:
-    from .measures import parse_measure_spec
-
+def _resolve_specs(measures: Sequence[MeasureSpec | str], n: int) -> list[MeasureSpec]:
+    """Parse and check every spec for a protocol on n-point sets. Protocols
+    pack greedily, so an explicit circles mode other than greedy is refused."""
     out = []
     for m in measures:
-        out.append(parse_measure_spec(m) if isinstance(m, str) else m)
+        spec = parse_measure_spec(m) if isinstance(m, str) else m
+        validate_spec(spec, size=n)
+        if spec.kind == "circles" and spec.param("mode", "greedy") != "greedy":
+            raise MeasureParamError(
+                f"{spec.key()}: protocols pack greedily; drop mode or set mode=greedy"
+            )
+        out.append(spec)
     return out
 
 
@@ -157,47 +156,18 @@ def _sample_label_pool(
 # ---------------------------------------------------------------------------
 # Fixed-size setting.
 
-def _eval_on_submatrix(
-    spec: MeasureSpec,
-    dsub: np.ndarray,
-    subset: np.ndarray,
-    dataset: Dataset,
-    rng: np.random.Generator,
-) -> float:
-    kind = spec.kind
-    if kind == "gold_standard":
-        return float(len({dataset.records[int(i)].label for i in subset}))
-    if kind == "richness":
-        return float(len({dataset.fingerprint_key(int(i)) for i in subset}))
-    if kind == "coverage":
-        from .reference import ReferenceSet, coverage
+def _fixed_selection(
+    full: np.ndarray, subset: np.ndarray, readers: dict, rng: np.random.Generator
+) -> Selection:
+    """One repeat's subset. Distances come from the precomputed matrix; circles
+    is best-of-k greedy over its rows, seeded from ``rng`` in spec order."""
 
-        ref = ReferenceSet(kind=str(spec.param("kind", "custom")), universe=spec.param("universe"))
-        return float(coverage(subset, dataset, ref))
-    if kind == "circles":
+    def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
+        restarts = int(spec.param("restarts", DEFAULT_RESTARTS))
         seed = int(rng.integers(0, 2**31))
-        return float(
-            greedy_pack_count(
-                dsub,
-                t=float(spec.param("t")),
-                restarts=int(spec.param("restarts", 8)),
-                seed=seed,
-            )
-        )
-    if kind == "dpp":
-        value, _ = dpp_from_dmatrix(dsub)
-        return value
-    kernel = {
-        "diversity": diversity_from_dmatrix,
-        "sum_diversity": sum_diversity_from_dmatrix,
-        "diameter": diameter_from_dmatrix,
-        "sum_diameter": sum_diameter_from_dmatrix,
-        "bottleneck": bottleneck_from_dmatrix,
-        "sum_bottleneck": sum_bottleneck_from_dmatrix,
-    }.get(kind)
-    if kernel is None:
-        raise MeasureParamError(f"measure {kind!r} is not supported inside protocols")
-    return float(kernel(dsub))
+        return float(greedy_pack_count(sel.dmatrix, float(spec.param("t")), restarts, seed)), {}
+
+    return Selection(subset, lambda: full[np.ix_(subset, subset)], pack, **readers)
 
 
 def protocol_fixed(
@@ -220,10 +190,12 @@ def protocol_fixed(
     _require_labels(dataset)
     if not 1 <= n <= len(dataset):
         raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
-    specs = _resolve_specs(measures)
+    specs = _resolve_specs(measures, n)
     classes = dataset.label_classes()
     oracle = oracle or TanimotoOracle(dataset)
     full = oracle.full_matrix()
+    readers = dataset_readers(dataset)
+    gs_spec = MeasureSpec("gold_standard")
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
 
     def one_run(run_idx: int) -> dict[str, tuple[float, bool]]:
@@ -236,12 +208,10 @@ def protocol_fixed(
             rng_measure = np.random.default_rng(measure_ss)
             pool = _sample_label_pool(rng_sample, dataset, classes, n)
             subset = rng_sample.choice(pool, size=n, replace=False)
-            dsub = full[np.ix_(subset, subset)]
-            gs_vals[rep] = len({dataset.records[int(i)].label for i in subset})
+            sel = _fixed_selection(full, subset, readers, rng_measure)
+            gs_vals[rep] = evaluate_selection(gs_spec, sel).value
             for spec in specs:
-                meas_vals[spec.key()][rep] = _eval_on_submatrix(
-                    spec, dsub, subset, dataset, rng_measure
-                )
+                meas_vals[spec.key()][rep] = evaluate_selection(spec, sel).value
         out: dict[str, tuple[float, bool]] = {}
         for key, vals in meas_vals.items():
             degenerate = is_degenerate(vals) or is_degenerate(gs_vals)
@@ -280,12 +250,13 @@ def protocol_fixed(
 class _GrowthTrackers:
     """Incremental per-step values of every tracked measure.
 
-    ``add`` receives the new point's distances to all previous members and
-    returns the current value of each measure on the grown set. Values agree
-    with evaluating the measures from scratch on each prefix (the packing
-    count uses the arrival-order greedy approximation; the determinant uses
-    an incrementally extended Cholesky factor and freezes at zero once the
-    similarity matrix goes singular, which for a PSD kernel is permanent).
+    ``add`` receives the new point's distances to all previous members,
+    updates the running state, and returns each measure's ``step`` value from
+    the measure table on the grown set. Values agree with evaluating the
+    measures from scratch on each prefix (the packing count uses the
+    arrival-order greedy approximation; the determinant uses an incrementally
+    extended Cholesky factor and freezes at zero once the similarity matrix
+    goes singular, which for a PSD kernel is permanent).
     """
 
     def __init__(self, specs: Sequence[MeasureSpec], dataset: Dataset):
@@ -306,6 +277,9 @@ class _GrowthTrackers:
             if spec.kind == "circles"
         }
         self._has_dpp = any(spec.kind == "dpp" for spec in self.specs)
+        self._needs_fragments = any(spec.kind == "coverage" for spec in self.specs)
+        self._steps = [(spec.key(), spec, MEASURES[spec.kind].step) for spec in self.specs]
+        self.dpp = 0.0
         self.chol = np.zeros((0, 0))
         self.logdet = 0.0
         self.singular = False
@@ -338,9 +312,13 @@ class _GrowthTrackers:
         return float(np.exp(self.logdet))
 
     def add(self, dists: np.ndarray, key: bytes, label: str, fragments) -> dict[str, float]:
+        if fragments is None and self._needs_fragments:
+            raise MissingFragmentsError(
+                f"the record added at step {self.size + 1} has no fragment annotations"
+            )
         dists = np.asarray(dists, dtype=np.float64)
-        values: dict[str, float] = {}
-        dpp_value = self._dpp_value(dists) if self._has_dpp else None
+        if self._has_dpp:
+            self.dpp = self._dpp_value(dists)
         if self.size > 0:
             self.pair_sum += float(dists.sum())
             self.max_dist = max(self.max_dist, float(dists.max()))
@@ -363,36 +341,7 @@ class _GrowthTrackers:
         for packer in self.packers.values():
             packer.add(dists)
         self.size += 1
-        n = self.size
-        for spec in self.specs:
-            kind = spec.kind
-            if kind == "gold_standard":
-                values[spec.key()] = float(len(self.labels))
-            elif kind == "richness":
-                values[spec.key()] = float(len(self.keys))
-            elif kind == "coverage":
-                values[spec.key()] = float(len(self.frag_union))
-            elif kind == "circles":
-                values[spec.key()] = float(self.packers[spec.key()].count)
-            elif kind == "dpp":
-                values[spec.key()] = dpp_value if n > 1 else 0.0
-            elif n < 2:
-                values[spec.key()] = 0.0
-            elif kind == "diversity":
-                values[spec.key()] = 2.0 * self.pair_sum / (n * (n - 1))
-            elif kind == "sum_diversity":
-                values[spec.key()] = 2.0 * self.pair_sum / (n - 1)
-            elif kind == "diameter":
-                values[spec.key()] = self.max_dist
-            elif kind == "sum_diameter":
-                values[spec.key()] = float(sum(self.row_max))
-            elif kind == "bottleneck":
-                values[spec.key()] = self.min_dist
-            elif kind == "sum_bottleneck":
-                values[spec.key()] = float(sum(self.row_min))
-            else:
-                raise MeasureParamError(f"measure {kind!r} is not supported inside protocols")
-        return values
+        return {name: step(self, spec) for name, spec, step in self._steps}
 
 
 def _grow_order(
@@ -457,7 +406,7 @@ def protocol_growing(
         raise ProtocolError(f"bias must be one of {BIAS_MODES}, got {bias!r}")
     if not 1 <= n <= len(dataset):
         raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
-    specs = _resolve_specs(measures)
+    specs = _resolve_specs(measures, n)
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
     classes = dataset.label_classes()

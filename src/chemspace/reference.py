@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .errors import MissingFragmentsError
 from .fingerprints import Dataset
+from .measures import MeasureSpec, evaluate_measure
 
 
 @dataclass(frozen=True)
@@ -33,16 +31,8 @@ class ReferenceSet:
 def coverage(subset, dataset: Dataset, ref: ReferenceSet | None = None) -> int:
     """Count distinct reference fragments covered by the selected records."""
     ref = ref or ReferenceSet()
-    idx = np.asarray(list(subset), dtype=np.int64)
-    covered: set[str] = set()
-    for i in idx:
-        rec = dataset.records[int(i)]
-        if rec.fragments is None:
-            raise MissingFragmentsError(f"record {rec.id!r} has no fragment annotations")
-        covered |= rec.fragments
-    if ref.universe is not None:
-        covered &= ref.universe
-    return len(covered)
+    spec = MeasureSpec("coverage", {"universe": ref.universe})
+    return int(evaluate_measure(spec, subset, dataset=dataset).value)
 
 
 def load_universe(path: str | Path) -> frozenset[str]:

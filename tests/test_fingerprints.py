@@ -85,7 +85,7 @@ def test_load_dataset_basic(tmp_path):
     )
     ds = load_dataset(p)
     assert len(ds) == 2 + 1
-    assert ds.ids == ["m1", "m2", "m3"]
+    assert [r.id for r in ds.records] == ["m1", "m2", "m3"]
     assert ds[0].label is None
     assert ds[1].label == "kinase"
     assert ds[2].fragments == frozenset({"fragA", "fragB"})
@@ -131,7 +131,7 @@ def test_write_then_load_round_trip(tmp_path):
     path = tmp_path / "out.tsv"
     write_dataset(ds, path)
     back = load_dataset(path)
-    assert back.ids == ds.ids
+    assert [r.id for r in back.records] == [r.id for r in ds.records]
     assert [r.label for r in back.records] == [r.label for r in ds.records]
     assert [r.fragments for r in back.records] == [r.fragments for r in ds.records]
     assert (back.words == ds.words).all()

@@ -1,0 +1,175 @@
+"""Every entry point reaches a measure through the one table in ``measures``."""
+
+import numpy as np
+import pytest
+
+from chemspace.axioms import World, world_measure
+from chemspace.cli import main
+from chemspace.distances import TanimotoOracle
+from chemspace.errors import MeasureParamError, MissingFragmentsError
+from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, write_dataset
+from chemspace.measures import (
+    MEASURES,
+    MeasureSpec,
+    dataset_readers,
+    evaluate_measure,
+    evaluate_selection,
+    parse_measure_spec,
+)
+from chemspace.protocols import _fixed_selection, _GrowthTrackers, protocol_fixed, protocol_growing
+from chemspace.synthetic import SyntheticConfig, generate_synthetic
+
+DISTANCE_KINDS = [k for k, m in MEASURES.items() if m.reads == "distances" and k != "circles"]
+
+
+@pytest.fixture(scope="module")
+def annotated():
+    """Synthetic labeled records, each with 1-3 fragments out of f0..f8."""
+    base = generate_synthetic(
+        SyntheticConfig(classes=5, per_class=6, width=64, core_bits=12), seed=11
+    )
+    rng = np.random.default_rng(3)
+    records = [
+        MoleculeRecord(
+            rec.id, rec.fp, rec.label,
+            frozenset(f"f{k}" for k in rng.choice(9, size=int(rng.integers(1, 4)), replace=False)),
+        )
+        for rec in base.records
+    ]
+    return Dataset(records)
+
+
+def test_every_kind_agrees_across_entry_points(annotated):
+    ds = annotated
+    full = TanimotoOracle(ds).full_matrix()
+    world = World(
+        matrix=full,
+        keys=[ds.fingerprint_key(i) for i in range(len(ds))],
+        fragments=[rec.fragments for rec in ds.records],
+    )
+    readers = dataset_readers(ds)
+    universe = frozenset({"f0", "f2", "f4", "f7"})
+    shared = [MeasureSpec(k) for k in ["richness", *DISTANCE_KINDS, "coverage"]]
+    shared.append(MeasureSpec("coverage", {"universe": universe}))
+    rng = np.random.default_rng(8)
+    for size in range(1, 13):
+        subset = sorted(int(i) for i in rng.choice(len(ds), size=size, replace=False))
+        # A fresh oracle, so the library path builds its own submatrix.
+        oracle = TanimotoOracle(ds)
+
+        def library(spec):
+            return evaluate_measure(spec, subset, dataset=ds, oracle=oracle).value
+
+        def fixed(spec, seed=0):
+            sel = _fixed_selection(full, np.asarray(subset), readers, np.random.default_rng(seed))
+            return evaluate_selection(spec, sel).value
+
+        trackers = _GrowthTrackers(
+            shared + [MeasureSpec("gold_standard"), MeasureSpec("circles", {"t": 0.6})], ds
+        )
+        for step, i in enumerate(subset):
+            rec = ds.records[i]
+            grown = trackers.add(full[i, subset[:step]], ds.fingerprint_key(i), rec.label, rec.fragments)
+
+        for spec in shared:
+            value = library(spec)
+            assert fixed(spec) == value, (spec.key(), size)
+            assert world_measure(spec, subset, world) == value, (spec.key(), size)
+            assert grown[spec.key()] == pytest.approx(value, abs=1e-9), (spec.key(), size)
+        gs = MeasureSpec("gold_standard")
+        assert fixed(gs) == library(gs) == grown["gold_standard"]
+
+        # Circles: each path has its own policy; compare like with like.
+        exact = library(MeasureSpec("circles", {"t": 0.6, "mode": "exact"}))
+        assert world_measure(MeasureSpec("circles", {"t": 0.6}), subset, world) == exact
+        drawn = int(np.random.default_rng(5).integers(0, 2**31))
+        best_of_k = library(MeasureSpec("circles", {"t": 0.6, "mode": "greedy", "seed": drawn}))
+        assert fixed(MeasureSpec("circles", {"t": 0.6}), seed=5) == best_of_k
+        one_pass = library(MeasureSpec("circles", {"t": 0.6, "mode": "greedy", "restarts": 1}))
+        assert grown["circles:t=0.6"] == one_pass
+
+
+def test_evaluate_measure_honours_exact_cap_env(monkeypatch):
+    rng = np.random.default_rng(4)
+    bits = (rng.random((100, 48)) < 0.3).astype(np.uint8)
+    ds = Dataset([MoleculeRecord(f"m{i}", Fingerprint.from_bits(b)) for i, b in enumerate(bits)])
+    oracle = TanimotoOracle(ds)
+    spec = MeasureSpec("circles", {"t": 0.9})
+    assert evaluate_measure(spec, range(100), oracle=oracle).metadata["mode"] == "greedy"
+    monkeypatch.setenv("CHEMSPACE_EXACT_CAP", "200")
+    assert evaluate_measure(spec, range(100), oracle=oracle).metadata["mode"] == "exact"
+
+
+def _coverage_dataset(missing_at=None):
+    frags = [{"f0", "f2"}, {"f1", "f3"}, {"f4", "f5"}, {"f6"}] + [{"f0"}] * 8
+    return Dataset(
+        [
+            MoleculeRecord(
+                f"m{i}",
+                Fingerprint.from_bits([(i >> b) & 1 for b in range(4)] + [1]),
+                "c1",
+                None if i == missing_at else frozenset(f),
+            )
+            for i, f in enumerate(frags)
+        ]
+    )
+
+
+def test_growing_coverage_intersects_universe():
+    ds = _coverage_dataset()
+    spec = MeasureSpec("coverage", {"universe": frozenset({"f0", "f1"})})
+    full = TanimotoOracle(ds).full_matrix()
+    trackers = _GrowthTrackers([spec], ds)
+    for step in range(4):
+        rec = ds.records[step]
+        value = trackers.add(full[step, :step], ds.fingerprint_key(step), rec.label, rec.fragments)
+    assert value[spec.key()] == 2.0
+    assert evaluate_measure(spec, range(4), dataset=ds).value == 2.0
+
+
+def test_growing_coverage_rejects_record_without_fragments():
+    ds = _coverage_dataset(missing_at=5)
+    with pytest.raises(MissingFragmentsError):
+        protocol_growing(ds, n=12, measures=["coverage"], bias="uniform", runs=1)
+
+
+@pytest.mark.parametrize("protocol", [protocol_fixed, protocol_growing])
+@pytest.mark.parametrize("mode", ["exact", "auto"])
+def test_protocols_refuse_non_greedy_circles(annotated, protocol, mode):
+    with pytest.raises(MeasureParamError, match="greedy"):
+        protocol(annotated, n=10, measures=[f"circles:t=0.5,mode={mode}"], runs=1)
+    greedy = protocol(annotated, n=10, measures=["circles:t=0.5,mode=greedy"], runs=1)
+    assert len(greedy.stats[0].per_run) == 1
+
+
+def test_circles_seed_must_be_an_integer():
+    with pytest.raises(MeasureParamError, match="seed"):
+        parse_measure_spec("circles:t=0.5,seed=x")
+
+
+def test_cli_bad_seed_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "d.tsv"
+    write_dataset(_coverage_dataset(), path)
+    code = main(["measure", "--in", str(path), "--measures", "circles:t=0.5,seed=x"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_measure_refuses_large_dpp_before_any_work(tmp_path, capsys, monkeypatch):
+    import chemspace.measures
+
+    def must_not_run(dmatrix):
+        raise AssertionError("an earlier measure ran before the dpp refusal")
+
+    monkeypatch.setattr(chemspace.measures, "diversity_from_dmatrix", must_not_run)
+    rng = np.random.default_rng(0)
+    bits = (rng.random((2049, 32)) < 0.5).astype(np.uint8)
+    ds = Dataset([MoleculeRecord(f"m{i}", Fingerprint.from_bits(b)) for i, b in enumerate(bits)])
+    path = tmp_path / "big.tsv"
+    write_dataset(ds, path)
+    code = main(["measure", "--in", str(path), "--measures", "diversity,dpp"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "dpp determinant refused for n=2049 > 2048" in captured.err
+    assert captured.out == ""

@@ -10,7 +10,6 @@ from chemspace.novelty import (
     novelty_circles,
     novelty_diversity,
     novelty_sum_bottleneck,
-    score_stream,
 )
 
 
@@ -109,13 +108,3 @@ def test_width_mismatch_rejected():
     ctx = NoveltyContext.from_dataset(ds)
     with pytest.raises(DimensionMismatchError):
         novelty_diversity(Fingerprint.from_bits([1, 0, 1]), ctx)
-
-
-def test_score_stream():
-    rng = np.random.default_rng(7)
-    ds = random_dataset(rng, 10)
-    ctx = NoveltyContext.from_dataset(ds, t=0.5)
-    cands = [Fingerprint.from_bits((rng.random(32) < 0.4).astype(np.uint8)) for _ in range(5)]
-    scores = score_stream("circles", ctx, cands)
-    assert len(scores) == 5
-    assert all(s in (0.0, 1.0) for s in scores)

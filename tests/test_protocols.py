@@ -86,9 +86,8 @@ def test_curve_series_incremental_round_trip():
     curve = CurveSeries(steps=np.arange(1, 21), values=vals, form="cumulative")
     inc = curve.to_incremental()
     assert inc.values["a"][0] == vals["a"][0]
-    back = inc.to_cumulative()
     for key in vals:
-        assert np.allclose(back.values[key], vals[key])
+        assert np.allclose(np.cumsum(inc.values[key]), vals[key])
 
 
 def test_growth_trackers_match_direct_measures(small_dataset):
