@@ -2,7 +2,8 @@
 
 Verdicts come from bounded random search plus hand-built counterexample
 seeds, not proofs: "holds" means "no counterexample in N trials". Every
-reported counterexample carries enough payload to be replayed exactly.
+reported counterexample carries enough payload to be replayed exactly, and the
+replay applies the same violation test as the search that found it.
 
 Checks run on explicit-matrix worlds (random points embedded in the unit
 cube, distances scaled to [0, 1]) so that exact geodesic configurations can
@@ -11,14 +12,15 @@ be constructed, which binary fingerprints cannot realize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from .circles import circles_exact
 from .distances import MatrixOracle
-from .measures import MEASURES, MeasureSpec, Selection
+from .measures import MEASURES, MeasureSpec, Selection, parse_measure_spec
 
 TOLERANCE = 1e-9
 
@@ -136,18 +138,7 @@ class Counterexample:
     tolerance: float = TOLERANCE
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "measure": self.measure,
-            "check": self.check,
-            "side": self.side,
-            "description": self.description,
-            "world": self.world,
-            "s1": self.s1,
-            "s2": self.s2,
-            "values": self.values,
-            "found_at_trial": self.found_at_trial,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -163,24 +154,36 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "measure": self.measure,
-            "check": self.check,
-            "holds": self.holds,
-            "trials": self.trials,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.note:
-            out["note"] = self.note
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample.to_dict()
-        return out
+        """Every field, leaving out an unset seed, note or counterexample."""
+        return {k: v for k, v in asdict(self).items() if v is not None and v != ""}
+
+
+def _refuted(
+    spec: MeasureSpec,
+    check: str,
+    trial_no: int,
+    hit: tuple[str, dict[str, float]],
+    description: str,
+    world: dict[str, Any],
+    s1,
+    s2,
+    tol: float,
+    seed: int | None = None,
+    note: str = "",
+) -> CheckResult:
+    """The result of a search whose candidate number ``trial_no`` violated the axiom."""
+    side, values = hit
+    ce = Counterexample(
+        spec.key(), check, side, description, world, list(s1), list(s2), values, trial_no, tol
+    )
+    return CheckResult(spec.key(), check, False, trial_no, seed, ce, note)
 
 
 def _subadditivity_violation(
     spec: MeasureSpec, world: World, s1, s2, tol: float = TOLERANCE
 ) -> tuple[str, dict[str, float]] | None:
+    """The side of max(mu(S1), mu(S2)) <= mu(S1 | S2) <= mu(S1) + mu(S2) that
+    the pair breaks by more than tol, with the three values; None if neither."""
     union = sorted(set(s1) | set(s2))
     v1 = world_measure(spec, s1, world)
     v2 = world_measure(spec, s2, world)
@@ -193,6 +196,24 @@ def _subadditivity_violation(
     return None
 
 
+def _dissimilarity_violation(
+    spec: MeasureSpec, v_mid: float, v_alt: float, tol: float = TOLERANCE
+) -> tuple[str, dict[str, float]] | None:
+    """A "midpoint" hit with the two values when the off-center candidate
+    scores above the midpoint; None if not. Packing counts and richness are
+    integers and compare exactly; the other kinds allow tol. It takes values,
+    not worlds, so the grid evaluates a midpoint once for all its candidates."""
+    exact = spec.kind in ("circles", "richness")
+    if v_mid < v_alt if exact else v_mid < v_alt - tol:
+        return "midpoint", {"mu_midpoint": v_mid, "mu_candidate": v_alt}
+    return None
+
+
+def _seed_world(rows: list[list[float]]) -> World:
+    keys = [f"p{i}" for i in range(len(rows))]
+    return World(np.array(rows), keys, [frozenset({c}) for c in "abcd"[: len(rows)]])
+
+
 def _seed_worlds(kind: str) -> list[tuple[str, World, list[int], list[int]]]:
     """Hand-built violation instances tried before random search.
 
@@ -200,75 +221,51 @@ def _seed_worlds(kind: str) -> list[tuple[str, World, list[int], list[int]]]:
     determinant; two tight, far-apart clusters break the max/sum-flavored
     ones on the upper inequality.
     """
-    far_pair_plus_inlier = World(
-        matrix=np.array(
-            [
-                [0.0, 0.9, 0.1],
-                [0.9, 0.0, 0.8],
-                [0.1, 0.8, 0.0],
-            ]
-        ),
-        keys=["p0", "p1", "p2"],
-        fragments=[frozenset({"a"}), frozenset({"b"}), frozenset({"c"})],
+    inlier = (
+        "add a point with below-average distances",
+        _seed_world([[0.0, 0.9, 0.1], [0.9, 0.0, 0.8], [0.1, 0.8, 0.0]]),
+        [0, 1],
+        [2],
     )
-    near_duplicate = World(
-        matrix=np.array(
-            [
-                [0.0, 0.9, 0.05],
-                [0.9, 0.0, 0.85],
-                [0.05, 0.85, 0.0],
-            ]
-        ),
-        keys=["p0", "p1", "p2"],
-        fragments=[frozenset({"a"}), frozenset({"b"}), frozenset({"c"})],
+    near_duplicate = (
+        "insert a near-duplicate of one member",
+        _seed_world([[0.0, 0.9, 0.05], [0.9, 0.0, 0.85], [0.05, 0.85, 0.0]]),
+        [0, 1],
+        [2],
     )
-    near_duplicate_dpp = World(
-        matrix=np.array(
-            [
-                [0.0, 0.5, 0.01],
-                [0.5, 0.0, 0.5],
-                [0.01, 0.5, 0.0],
-            ]
-        ),
-        keys=["p0", "p1", "p2"],
-        fragments=[frozenset({"a"}), frozenset({"b"}), frozenset({"c"})],
+    near_duplicate_dpp = (
+        "insert a near-duplicate of one member",
+        _seed_world([[0.0, 0.5, 0.01], [0.5, 0.0, 0.5], [0.01, 0.5, 0.0]]),
+        [0, 1],
+        [2],
     )
-    two_far_clusters = World(
-        matrix=np.array(
-            [
-                [0.0, 0.1, 0.9, 0.9],
-                [0.1, 0.0, 0.9, 0.9],
-                [0.9, 0.9, 0.0, 0.1],
-                [0.9, 0.9, 0.1, 0.0],
-            ]
+    clusters = (
+        "merge two tight, far-apart clusters",
+        _seed_world(
+            [[0.0, 0.1, 0.9, 0.9], [0.1, 0.0, 0.9, 0.9], [0.9, 0.9, 0.0, 0.1], [0.9, 0.9, 0.1, 0.0]]
         ),
-        keys=["p0", "p1", "p2", "p3"],
-        fragments=[frozenset({"a"}), frozenset({"b"}), frozenset({"c"}), frozenset({"d"})],
+        [0, 1],
+        [2, 3],
     )
     seeds = {
-        "diversity": [
-            ("add a point with below-average distances", far_pair_plus_inlier, [0, 1], [2])
-        ],
-        "bottleneck": [
-            ("insert a near-duplicate of one member", near_duplicate, [0, 1], [2])
-        ],
-        "sum_bottleneck": [
-            ("insert a near-duplicate of one member", near_duplicate, [0, 1], [2])
-        ],
-        "dpp": [
-            ("insert a near-duplicate of one member", near_duplicate_dpp, [0, 1], [2])
-        ],
-        "diameter": [
-            ("merge two tight, far-apart clusters", two_far_clusters, [0, 1], [2, 3])
-        ],
-        "sum_diameter": [
-            ("merge two tight, far-apart clusters", two_far_clusters, [0, 1], [2, 3])
-        ],
-        "sum_diversity": [
-            ("merge two tight, far-apart clusters", two_far_clusters, [0, 1], [2, 3])
-        ],
+        "diversity": inlier,
+        "bottleneck": near_duplicate,
+        "sum_bottleneck": near_duplicate,
+        "dpp": near_duplicate_dpp,
+        "diameter": clusters,
+        "sum_diameter": clusters,
+        "sum_diversity": clusters,
     }
-    return seeds.get(kind, [])
+    return [seeds[kind]] if kind in seeds else []
+
+
+def _random_split(rng: np.random.Generator) -> tuple[World, list[int], list[int]]:
+    """A random world of 2 to 12 points and two random, possibly overlapping sets."""
+    world = random_world(rng, size=int(rng.integers(2, 13)))
+    roles = rng.integers(0, 4, size=world.n)  # 0: neither, 1: s1, 2: s2, 3: both
+    s1 = [i for i in range(world.n) if roles[i] in (1, 3)]
+    s2 = [i for i in range(world.n) if roles[i] in (2, 3)]
+    return world, s1, s2
 
 
 def check_subadditivity(
@@ -277,109 +274,46 @@ def check_subadditivity(
     """Search for a set pair violating either subadditivity inequality.
 
     Known constructions for the measure (if any) are tried first, then random
-    worlds of 2 to 12 points with random overlapping splits.
+    worlds of 2 to 12 points with random overlapping splits, up to ``trials``
+    candidates in all (every construction is tried even when trials is smaller).
     """
-    trial_no = 0
-    for description, world, s1, s2 in _seed_worlds(spec.kind):
-        trial_no += 1
-        hit = _subadditivity_violation(spec, world, s1, s2, tol)
-        if hit is not None:
-            side, values = hit
-            ce = Counterexample(
-                measure=spec.key(),
-                check="subadditivity",
-                side=side,
-                description=description,
-                world=world.to_payload(),
-                s1=list(s1),
-                s2=list(s2),
-                values=values,
-                found_at_trial=trial_no,
-                tolerance=tol,
-            )
-            return CheckResult(
-                measure=spec.key(),
-                check="subadditivity",
-                holds=False,
-                trials=trial_no,
-                seed=seed,
-                counterexample=ce,
-            )
+    seeded = _seed_worlds(spec.kind)
     rng = np.random.default_rng(seed)
-    while trial_no < trials:
-        trial_no += 1
-        world = random_world(rng, size=int(rng.integers(2, 13)))
-        roles = rng.integers(0, 4, size=world.n)  # 0: neither, 1: s1, 2: s2, 3: both
-        s1 = [i for i in range(world.n) if roles[i] in (1, 3)]
-        s2 = [i for i in range(world.n) if roles[i] in (2, 3)]
+    drawn = (("random world search", *_random_split(rng)) for _ in range(trials - len(seeded)))
+    trial_no = 0
+    for trial_no, (description, world, s1, s2) in enumerate(chain(seeded, drawn), 1):
         hit = _subadditivity_violation(spec, world, s1, s2, tol)
         if hit is not None:
-            side, values = hit
-            ce = Counterexample(
-                measure=spec.key(),
-                check="subadditivity",
-                side=side,
-                description="random world search",
-                world=world.to_payload(),
-                s1=s1,
-                s2=s2,
-                values=values,
-                found_at_trial=trial_no,
-                tolerance=tol,
+            return _refuted(
+                spec, "subadditivity", trial_no, hit, description, world.to_payload(), s1, s2,
+                tol, seed,
             )
-            return CheckResult(
-                measure=spec.key(),
-                check="subadditivity",
-                holds=False,
-                trials=trial_no,
-                seed=seed,
-                counterexample=ce,
-            )
-    return CheckResult(
-        measure=spec.key(),
-        check="subadditivity",
-        holds=True,
-        trials=trial_no,
-        seed=seed,
-        note=f"no counterexample in {trial_no} trials",
-    )
+    note = f"no counterexample in {trial_no} trials"
+    return CheckResult(spec.key(), "subadditivity", True, trial_no, seed, note=note)
 
 
 def replay_counterexample(ce: Counterexample | dict[str, Any]) -> bool:
-    """Re-evaluate a stored counterexample; True when it still violates."""
+    """Re-evaluate a stored counterexample with the violation test of its
+    check; True when it still violates, on the same side, with the same values."""
     data = ce.to_dict() if isinstance(ce, Counterexample) else ce
-    spec = _spec_from_key(data["measure"])
+    spec = parse_measure_spec(data["measure"])
     tol = float(data.get("tolerance", TOLERANCE))
+    stored, world = data["values"], data["world"]
     if data["check"] == "subadditivity":
-        world = World.from_payload(data["world"])
-        hit = _subadditivity_violation(spec, world, data["s1"], data["s2"], tol)
-        if hit is None:
-            return False
-        side, values = hit
-        return side == data["side"] and all(
-            abs(values[k] - data["values"][k]) <= 1e-12 for k in values
-        )
-    if data["check"] == "dissimilarity":
-        mid_world = World.from_payload(data["world"]["midpoint"])
-        alt_world = World.from_payload(data["world"]["candidate"])
-        values = data["values"]
-        eff_spec = spec
-        if spec.kind == "circles" and "t" in values:
-            eff_spec = MeasureSpec("circles", {"t": float(values["t"])})
-        v_mid = world_measure(eff_spec, data["s1"], mid_world)
-        v_alt = world_measure(eff_spec, data["s2"], alt_world)
-        return (
-            v_mid < v_alt - tol
-            and abs(v_mid - values["mu_midpoint"]) <= 1e-12
-            and abs(v_alt - values["mu_candidate"]) <= 1e-12
-        )
-    raise ValueError(f"unknown check kind: {data['check']!r}")
-
-
-def _spec_from_key(key: str) -> MeasureSpec:
-    from .measures import parse_measure_spec
-
-    return parse_measure_spec(key)
+        hit = _subadditivity_violation(spec, World.from_payload(world), data["s1"], data["s2"], tol)
+    elif data["check"] == "dissimilarity":
+        if spec.kind == "circles":  # found at one threshold of the grid
+            spec = MeasureSpec("circles", {"t": float(stored["t"])})
+        v_mid = world_measure(spec, data["s1"], World.from_payload(world["midpoint"]))
+        v_alt = world_measure(spec, data["s2"], World.from_payload(world["candidate"]))
+        hit = _dissimilarity_violation(spec, v_mid, v_alt, tol)
+    else:
+        raise ValueError(f"unknown check kind: {data['check']!r}")
+    return (
+        hit is not None
+        and hit[0] == data["side"]
+        and all(abs(v - stored[k]) <= 1e-12 for k, v in hit[1].items())
+    )
 
 
 @dataclass(frozen=True)
@@ -411,11 +345,44 @@ class GeodesicConfig:
         return World(matrix=self.matrix(), keys=list(keys), fragments=frags)
 
 
-# Fragment assignment demonstrating that binary fragment coverage ignores
-# geometry: the midpoint repeats an endpoint fragment while the off-center
-# candidate brings a new one.
+_TRIPLE = (0, 1, 2)
+
+# Binary fragment coverage ignores geometry: the midpoint repeats an endpoint
+# fragment while the off-center candidate brings a new one.
+_COVERAGE_NOTE = "not applicable: depends on the fragment assignment, not on distances"
+_COVERAGE_DESCRIPTION = (
+    "fails by construction: binary fragment coverage is independent of "
+    "distances; midpoint carries a repeated fragment while the off-center "
+    "candidate carries a new one"
+)
 _COVERAGE_MID_FRAGMENTS = [frozenset({"f1"}), frozenset({"f2"}), frozenset({"f1"})]
 _COVERAGE_ALT_FRAGMENTS = [frozenset({"f1"}), frozenset({"f2"}), frozenset({"f3"})]
+
+
+def _geodesic_candidates(spec: MeasureSpec, a_values, fracs, thresholds):
+    """Midpoint/candidate pairs in search order, each as (description, spec at
+    the grid threshold, midpoint world, its value, candidate world, grid point);
+    each midpoint is evaluated once for all its candidates. Coverage does not
+    read distances, so its one construction is the only pair."""
+    if spec.kind == "coverage":
+        mid = GeodesicConfig(1.0, 0.5).world(fragments=_COVERAGE_MID_FRAGMENTS)
+        alt = GeodesicConfig(1.0, 0.25).world(fragments=_COVERAGE_ALT_FRAGMENTS)
+        v_mid = world_measure(spec, _TRIPLE, mid)
+        yield _COVERAGE_DESCRIPTION, spec, mid, v_mid, alt, {"a": 1.0, "delta": 0.25}
+        return
+    for t in thresholds:
+        at_t = spec if t is None else MeasureSpec("circles", {"t": float(t)})
+        grid_t = {} if t is None else {"t": float(t)}
+        for a in map(float, a_values):
+            mid = GeodesicConfig(a, a / 2).world()
+            v_mid = world_measure(at_t, _TRIPLE, mid)
+            for frac in fracs:
+                delta = a * float(frac)
+                if 0 < delta < a:
+                    yield (
+                        "off-center geodesic candidate beats the midpoint", at_t, mid, v_mid,
+                        GeodesicConfig(a, delta).world(), {"a": a, "delta": delta, **grid_t},
+                    )
 
 
 def check_dissimilarity(
@@ -433,95 +400,25 @@ def check_dissimilarity(
     threshold grid.
     """
     a_values = np.linspace(0.1, 1.0, 10) if a_grid is None else np.asarray(a_grid, dtype=float)
-    fracs = (np.arange(1, 20) / 20.0) if delta_fracs is None else np.asarray(delta_fracs, dtype=float)
-
-    if spec.kind == "coverage":
-        a = 1.0
-        mid_world = GeodesicConfig(a, a / 2).world(fragments=_COVERAGE_MID_FRAGMENTS)
-        alt_delta = 0.25
-        alt_world = GeodesicConfig(a, alt_delta).world(fragments=_COVERAGE_ALT_FRAGMENTS)
-        v_mid = world_measure(spec, [0, 1, 2], mid_world)
-        v_alt = world_measure(spec, [0, 1, 2], alt_world)
-        ce = Counterexample(
-            measure=spec.key(),
-            check="dissimilarity",
-            side="midpoint",
-            description=(
-                "fails by construction: binary fragment coverage is independent of "
-                "distances; midpoint carries a repeated fragment while the off-center "
-                "candidate carries a new one"
-            ),
-            world={"midpoint": mid_world.to_payload(), "candidate": alt_world.to_payload()},
-            s1=[0, 1, 2],
-            s2=[0, 1, 2],
-            values={"mu_midpoint": v_mid, "mu_candidate": v_alt, "a": a, "delta": alt_delta},
-            found_at_trial=1,
-            tolerance=tol,
-        )
-        holds = v_mid >= v_alt - tol
-        return CheckResult(
-            measure=spec.key(),
-            check="dissimilarity",
-            holds=holds,
-            trials=1,
-            counterexample=None if holds else ce,
-            note="not applicable: depends on the fragment assignment, not on distances",
-        )
-
+    fracs = np.arange(1, 20) / 20.0 if delta_fracs is None else np.asarray(delta_fracs, dtype=float)
     thresholds = [None]
     if spec.kind == "circles":
-        thresholds = list(np.linspace(0.0, 0.9, 10) if t_grid is None else np.asarray(t_grid, dtype=float))
-
-    trials = 0
-    for t in thresholds:
-        eff_spec = spec if t is None else MeasureSpec("circles", {"t": float(t)})
-        for a in a_values:
-            mid_world = GeodesicConfig(float(a), float(a) / 2).world()
-            v_mid = world_measure(eff_spec, [0, 1, 2], mid_world)
-            for frac in fracs:
-                delta = float(a) * float(frac)
-                if not 0 < delta < a:
-                    continue
-                trials += 1
-                alt_world = GeodesicConfig(float(a), delta).world()
-                v_alt = world_measure(eff_spec, [0, 1, 2], alt_world)
-                exact_kinds = ("circles", "richness")
-                violated = (
-                    v_mid < v_alt if eff_spec.kind in exact_kinds else v_mid < v_alt - tol
-                )
-                if violated:
-                    values = {"mu_midpoint": v_mid, "mu_candidate": v_alt, "a": float(a), "delta": delta}
-                    if t is not None:
-                        values["t"] = float(t)
-                    ce = Counterexample(
-                        measure=spec.key(),
-                        check="dissimilarity",
-                        side="midpoint",
-                        description="off-center geodesic candidate beats the midpoint",
-                        world={
-                            "midpoint": mid_world.to_payload(),
-                            "candidate": alt_world.to_payload(),
-                        },
-                        s1=[0, 1, 2],
-                        s2=[0, 1, 2],
-                        values=values,
-                        found_at_trial=trials,
-                        tolerance=tol,
-                    )
-                    return CheckResult(
-                        measure=spec.key(),
-                        check="dissimilarity",
-                        holds=False,
-                        trials=trials,
-                        counterexample=ce,
-                    )
-    return CheckResult(
-        measure=spec.key(),
-        check="dissimilarity",
-        holds=True,
-        trials=trials,
-        note=f"midpoint optimal across {trials} grid configurations",
-    )
+        t_values = np.linspace(0.0, 0.9, 10) if t_grid is None else np.asarray(t_grid, dtype=float)
+        thresholds = list(t_values)
+    note = _COVERAGE_NOTE if spec.kind == "coverage" else ""
+    candidates = _geodesic_candidates(spec, a_values, fracs, thresholds)
+    trial_no = 0
+    for trial_no, (description, at_t, mid, v_mid, alt, grid) in enumerate(candidates, 1):
+        hit = _dissimilarity_violation(at_t, v_mid, world_measure(at_t, _TRIPLE, alt), tol)
+        if hit is not None:
+            side, values = hit
+            world = {"midpoint": mid.to_payload(), "candidate": alt.to_payload()}
+            return _refuted(
+                spec, "dissimilarity", trial_no, (side, values | grid), description, world,
+                _TRIPLE, _TRIPLE, tol, note=note,
+            )
+    note = note or f"midpoint optimal across {trial_no} grid configurations"
+    return CheckResult(spec.key(), "dissimilarity", True, trial_no, note=note)
 
 
 def check_corollaries(
@@ -534,10 +431,7 @@ def check_corollaries(
     rng = np.random.default_rng(seed)
     failures: dict[str, dict[str, Any]] = {}
     for trial in range(trials):
-        world = random_world(rng, size=int(rng.integers(2, 13)))
-        roles = rng.integers(0, 4, size=world.n)
-        s1 = [i for i in range(world.n) if roles[i] in (1, 3)]
-        s2 = [i for i in range(world.n) if roles[i] in (2, 3)]
+        world, s1, s2 = _random_split(rng)
         diff = [i for i in s1 if i not in s2]
         v1 = world_measure(spec, s1, world)
         v2 = world_measure(spec, s2, world)
@@ -558,9 +452,9 @@ def check_corollaries(
         "measure": spec.key(),
         "trials": trials,
         "seed": seed,
-        "subtraction": "holds" if "subtraction" not in failures else failures["subtraction"],
-        "monotonicity": "holds" if "monotonicity" not in failures else failures["monotonicity"],
-        "dominance": "holds" if "dominance" not in failures else failures["dominance"],
+        "subtraction": failures.get("subtraction", "holds"),
+        "monotonicity": failures.get("monotonicity", "holds"),
+        "dominance": failures.get("dominance", "holds"),
         "all_hold": not failures,
     }
 
@@ -595,23 +489,20 @@ def quadrant_table(
 ) -> dict[str, Any]:
     """Run both axiom checks for every measure and compare the resulting
     classification against the expected one."""
-    reports: list[AxiomReport] = []
-    for spec in specs:
-        sub = check_subadditivity(spec, trials=trials, seed=seed)
-        dis = check_dissimilarity(spec)
-        reports.append(
-            AxiomReport(
-                measure=spec.key(), subadditive=sub, dissimilar=dis, trials=trials, seed=seed
-            )
-        )
-    matches = True
     rows = []
-    for spec, report in zip(specs, reports):
-        expected = EXPECTED_CLASSIFICATION.get(spec.kind)
+    matches = True
+    for spec in specs:
+        report = AxiomReport(
+            measure=spec.key(),
+            subadditive=check_subadditivity(spec, trials=trials, seed=seed),
+            dissimilar=check_dissimilarity(spec),
+            trials=trials,
+            seed=seed,
+        )
         row = report.to_dict()
+        expected = EXPECTED_CLASSIFICATION.get(spec.kind)
         if expected is not None:
             row["expected_subadditive"], row["expected_dissimilar"] = expected
-            if report.classification() != expected:
-                matches = False
+            matches = matches and report.classification() == expected
         rows.append(row)
     return {"reports": rows, "matches_expected": matches, "trials": trials, "seed": seed}

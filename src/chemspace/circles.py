@@ -28,6 +28,16 @@ def resolve_exact_cap(explicit: int | None = None) -> int:
     return int(env) if env else DEFAULT_EXACT_CAP
 
 
+def refuse_exact_over_cap(size: int, exact_cap: int | None = None) -> None:
+    """Refuse an exact solve on more points than the exact-solver cap."""
+    cap = resolve_exact_cap(exact_cap)
+    if size > cap:
+        raise MeasureSizeError(
+            f"exact packing refused for n={size} > cap {cap}; use greedy mode "
+            f"(or raise {EXACT_CAP_ENV})"
+        )
+
+
 @dataclass(frozen=True)
 class PackingResult:
     """A witnessed packing: centers are pairwise farther than t apart."""
@@ -126,12 +136,7 @@ def circles_exact(
 ) -> PackingResult:
     """Optimal packing count via branch-and-bound maximum independent set."""
     idx = np.asarray(list(subset), dtype=np.int64)
-    cap = resolve_exact_cap(exact_cap)
-    if idx.size > cap:
-        raise MeasureSizeError(
-            f"exact packing refused for n={idx.size} > cap {cap}; use greedy mode "
-            f"(or raise {EXACT_CAP_ENV})"
-        )
+    refuse_exact_over_cap(idx.size, exact_cap)
     if idx.size == 0:
         return PackingResult(count=0, centers=(), t=t, mode="exact", optimal=True)
     adj = threshold_adjacency(oracle.submatrix(idx), t)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .axioms import quadrant_table
 from .distances import TanimotoOracle
-from .errors import ChemSpaceError
+from .errors import ChemSpaceError, DatasetFormatError, MeasureParamError
 from .fingerprints import Fingerprint, load_dataset, write_dataset
 from .measures import (
     MeasureSpec,
@@ -334,7 +334,11 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_novelty(args) -> int:
+    if args.t is None and (args.kind == "circles" or args.against_centers):
+        raise MeasureParamError("novelty --kind circles and --against-centers need a threshold --t")
     dataset = load_dataset(args.input)
+    if len(dataset) == 0:
+        raise DatasetFormatError(f"{args.input} holds no records to score candidates against")
     ctx = NoveltyContext.from_dataset(
         dataset,
         t=args.t,
@@ -360,7 +364,6 @@ def _add_common(parser, out=True):
     if out:
         parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for independent work")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=200)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--measures", default=",".join(DEFAULT_PROTOCOL_MEASURES))
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for independent runs")
     _add_common(p)
     p.set_defaults(fn=cmd_corr_fixed)
 
@@ -405,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", choices=("uniform", "similar", "most-similar"), default="similar")
     p.add_argument("--normalize-dtw", action="store_true")
     p.add_argument("--measures", default=",".join(DEFAULT_PROTOCOL_MEASURES))
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for independent runs")
     _add_common(p)
     p.set_defaults(fn=cmd_corr_growing)
 
@@ -416,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--bias", choices=("uniform", "similar", "most-similar"), default="similar")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for independent runs")
     _add_common(p)
     p.set_defaults(fn=cmd_sweep_t)
 

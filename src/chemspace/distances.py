@@ -28,9 +28,16 @@ def tanimoto_row(
     """Distances from point ``i`` to ``targets`` (default: all points)."""
     tw = words if targets is None else words[targets]
     tp = popcounts if targets is None else popcounts[targets]
-    inter = _bitwise_rows(words[i], tw)
-    union = popcounts[i] + tp - inter
-    out = np.ones(len(tw), dtype=np.float64)
+    return tanimoto_from_row(words[i], popcounts[i], tw, tp)
+
+
+def tanimoto_from_row(
+    row_words: np.ndarray, row_popcount: int, words: np.ndarray, popcounts: np.ndarray
+) -> np.ndarray:
+    """Distances from one packed row, given with its popcount, to every row of ``words``."""
+    inter = _bitwise_rows(row_words, words)
+    union = row_popcount + popcounts - inter
+    out = np.ones(len(words), dtype=np.float64)
     nz = union > 0
     out[nz] = 1.0 - inter[nz] / union[nz]
     out[~nz] = 0.0

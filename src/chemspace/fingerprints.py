@@ -19,9 +19,8 @@ from .errors import DatasetFormatError, DimensionMismatchError
 _HEX_CHARS = frozenset("0123456789abcdef")
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 uint8 vector into a uint64 word array (zero padded)."""
-    packed = np.packbits(bits)
+def _as_words(packed: np.ndarray) -> np.ndarray:
+    """Zero-pad packed bytes, most significant bit first, to whole 64-bit words."""
     n_words = (packed.size + 7) // 8
     buf = np.zeros(n_words * 8, dtype=np.uint8)
     buf[: packed.size] = packed
@@ -55,23 +54,21 @@ class Fingerprint:
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1 or arr.size == 0 or not np.isin(arr, (0, 1)).all():
             raise ValueError("bits must be a nonempty 0/1 vector")
-        return cls(width=int(arr.size), words=_pack_bits(arr))
+        return cls(width=int(arr.size), words=_as_words(np.packbits(arr)))
 
     @classmethod
     def from_bitstring(cls, text: str) -> "Fingerprint":
         if not text or set(text) - {"0", "1"}:
             raise DatasetFormatError(f"not a 0/1 fingerprint string: {text!r}")
         arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        return cls(width=len(text), words=_pack_bits(arr))
+        return cls(width=len(text), words=_as_words(np.packbits(arr)))
 
     @classmethod
     def from_hex(cls, text: str) -> "Fingerprint":
         if not text or set(text) - _HEX_CHARS:
             raise DatasetFormatError(f"not a lowercase hex fingerprint: {text!r}")
-        width = 4 * len(text)
-        bitstring = format(int(text, 16), f"0{width}b")
-        arr = np.frombuffer(bitstring.encode("ascii"), dtype=np.uint8) - ord("0")
-        return cls(width=width, words=_pack_bits(arr))
+        packed = bytes.fromhex(text + "0" * (len(text) % 2))
+        return cls(width=4 * len(text), words=_as_words(np.frombuffer(packed, dtype=np.uint8)))
 
     @classmethod
     def parse(cls, text: str) -> "Fingerprint":

@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .circles import DEFAULT_RESTARTS, circles_auto
+from .circles import DEFAULT_RESTARTS, circles_auto, refuse_exact_over_cap
 from .errors import MeasureParamError, MeasureSizeError, MissingFragmentsError
 from .fingerprints import Dataset
 
@@ -116,6 +116,8 @@ def _check_circles(spec: MeasureSpec, size: int | None) -> None:
     mode = spec.param("mode", "auto")
     if mode not in ("auto", "exact", "greedy"):
         raise MeasureParamError(f"circles mode must be auto|exact|greedy, got {mode!r}")
+    if mode == "exact" and size is not None:
+        refuse_exact_over_cap(size)
     restarts = spec.param("restarts", DEFAULT_RESTARTS)
     if not isinstance(restarts, int) or restarts < 1:
         raise MeasureParamError(f"circles restarts must be a positive integer, got {restarts!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circles import circles_greedy
-from .distances import DistanceOracle, TanimotoOracle, tanimoto_row
+from .distances import DistanceOracle, TanimotoOracle, tanimoto_from_row
 from .errors import DimensionMismatchError
 from .fingerprints import Dataset, Fingerprint
 
@@ -71,9 +71,9 @@ class NoveltyContext:
                 raise DimensionMismatchError(
                     f"candidate width {candidate.width} != dataset width {self.dataset.width}"
                 )
-            stacked = np.vstack([candidate.words[None, :], self._member_words])
-            pops = np.concatenate(([candidate.popcount()], self._member_pops))
-            return tanimoto_row(stacked, pops, 0)[1:]
+            return tanimoto_from_row(
+                candidate.words, candidate.popcount(), self._member_words, self._member_pops
+            )
         if self.oracle is None:
             raise ValueError("index candidates need an oracle-backed context")
         return self.oracle.row(int(candidate), targets=self.members)

@@ -121,9 +121,13 @@ def _require_labels(dataset: Dataset) -> None:
             raise ProtocolError(f"protocols need a fully labeled dataset; {rec.id!r} has no label")
 
 
-def _resolve_specs(measures: Sequence[MeasureSpec | str], n: int) -> list[MeasureSpec]:
-    """Parse and check every spec for a protocol on n-point sets. Protocols
-    pack greedily, so an explicit circles mode other than greedy is refused."""
+def _resolve_specs(measures: Sequence[MeasureSpec | str], n: int, jobs: int) -> list[MeasureSpec]:
+    """Check a protocol's worker count and parse and check every spec for it
+    on n-point sets, before any work. Protocols pack greedily with seeds drawn
+    from the run seed, so an explicit circles mode other than greedy, or a
+    circles seed, is refused."""
+    if jobs < 1:
+        raise ProtocolError(f"jobs must be at least 1, got {jobs}")
     out = []
     for m in measures:
         spec = parse_measure_spec(m) if isinstance(m, str) else m
@@ -131,6 +135,10 @@ def _resolve_specs(measures: Sequence[MeasureSpec | str], n: int) -> list[Measur
         if spec.kind == "circles" and spec.param("mode", "greedy") != "greedy":
             raise MeasureParamError(
                 f"{spec.key()}: protocols pack greedily; drop mode or set mode=greedy"
+            )
+        if spec.kind == "circles" and "seed" in spec.params:
+            raise MeasureParamError(
+                f"{spec.key()}: protocols draw each packing's seed from the run seed; drop seed"
             )
         out.append(spec)
     return out
@@ -190,7 +198,7 @@ def protocol_fixed(
     _require_labels(dataset)
     if not 1 <= n <= len(dataset):
         raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
-    specs = _resolve_specs(measures, n)
+    specs = _resolve_specs(measures, n, jobs)
     classes = dataset.label_classes()
     oracle = oracle or TanimotoOracle(dataset)
     full = oracle.full_matrix()
@@ -406,7 +414,7 @@ def protocol_growing(
         raise ProtocolError(f"bias must be one of {BIAS_MODES}, got {bias!r}")
     if not 1 <= n <= len(dataset):
         raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
-    specs = _resolve_specs(measures, n)
+    specs = _resolve_specs(measures, n, jobs)
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
     classes = dataset.label_classes()

@@ -165,3 +165,38 @@ def test_random_world_matrices_are_valid_metrics():
         n = m.shape[0]
         for via in range(n):
             assert (m <= m[:, via][:, None] + m[via][None, :] + 1e-12).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quadrant_counterexamples_replay_and_nudges_do_not(seed):
+    table = quadrant_table(trials=300, seed=seed)
+    found = []
+    for row in table["reports"]:
+        for check in ("subadditivity_check", "dissimilarity_check"):
+            ce = row[check].get("counterexample")
+            if ce is not None:
+                found.append((row["measure"], ce["check"]))
+                assert replay_counterexample(ce), (row["measure"], check)
+                for key in (k for k in ce["values"] if k.startswith("mu_")):
+                    nudged = {**ce, "values": {**ce["values"], key: ce["values"][key] + 1e-6}}
+                    assert not replay_counterexample(nudged), (row["measure"], check, key)
+    assert ("coverage", "dissimilarity") in found
+    assert ("sum_diameter", "dissimilarity") in found
+
+
+def test_replay_circles_reads_the_grid_threshold():
+    # The stored pair swaps the roles: the "midpoint" world is off-center. At
+    # t=0.3 it packs 2 against 3, a violation; at the key's t=0.5 both pack 2.
+    off_center = GeodesicConfig(1.0, 0.1).world().to_payload()
+    centered = GeodesicConfig(1.0, 0.5).world().to_payload()
+    ce = {
+        "measure": "circles:t=0.5",
+        "check": "dissimilarity",
+        "side": "midpoint",
+        "world": {"midpoint": off_center, "candidate": centered},
+        "s1": [0, 1, 2],
+        "s2": [0, 1, 2],
+        "values": {"mu_midpoint": 2.0, "mu_candidate": 3.0, "a": 1.0, "delta": 0.1, "t": 0.3},
+    }
+    assert replay_counterexample(ce)
+    assert not replay_counterexample({**ce, "values": {**ce["values"], "t": 0.5}})

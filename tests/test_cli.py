@@ -191,6 +191,43 @@ def test_novelty_stream(synthetic_tsv, tmp_path, monkeypatch, capsys):
     assert len(vals) == 3 and all(0.0 <= v <= 1.0 for v in vals)
 
 
+class _UnreadStdin:
+    def __iter__(self):
+        raise AssertionError("stdin was read before the refusal")
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_novelty_circles_without_threshold_refused(synthetic_tsv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    assert run_cli(["novelty", "--in", synthetic_tsv, "--kind", "circles"]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_novelty_on_empty_dataset_refused(tmp_path, monkeypatch, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# nothing here\n")
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    assert run_cli(["novelty", "--in", empty, "--kind", "diversity"]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_jobs_only_on_protocol_commands(synthetic_tsv, capsys):
+    for command in (["measure", "--measures", "richness"], ["compare", "--measures", "richness"]):
+        with pytest.raises(SystemExit):
+            run_cli([command[0], "--in", synthetic_tsv, *command[1:], "--jobs", "2"])
+    with pytest.raises(SystemExit):
+        run_cli(["axiom-check", "--trials", "1", "--jobs", "2"])
+    capsys.readouterr()
+    for command in ("corr-fixed", "corr-growing", "sweep-t"):
+        code = run_cli([command, "--in", synthetic_tsv, "--n", "10", "--runs", "1", "--jobs", "0"])
+        assert code == 1
+        assert _one_line_error(capsys)
+
+
 def test_measure_coverage_with_universe_file(tmp_path):
     data = tmp_path / "frags.tsv"
     data.write_text(

@@ -30,6 +30,16 @@ def test_hex_parse_msb_first():
     assert fp.to_hex() == "f0"
 
 
+@pytest.mark.parametrize("digits", [1, 2, 3, 16, 17, 33])
+def test_hex_matches_spelled_out_bits(digits):
+    rng = np.random.default_rng(digits)
+    text = "".join(rng.choice(list("0123456789abcdef"), size=digits))
+    bits = [int(b) for digit in text for b in format(int(digit, 16), "04b")]
+    fp = Fingerprint.from_hex(text)
+    assert fp.width == 4 * digits
+    assert fp == Fingerprint.from_bits(bits)
+
+
 def test_bitstring_parse():
     fp = Fingerprint.from_bitstring("0110")
     assert fp.width == 4

@@ -142,6 +142,13 @@ def test_protocols_refuse_non_greedy_circles(annotated, protocol, mode):
     assert len(greedy.stats[0].per_run) == 1
 
 
+@pytest.mark.parametrize("protocol", [protocol_fixed, protocol_growing])
+def test_protocols_refuse_circles_seed(annotated, protocol):
+    # Each repeat's packing seed comes from the run seed; a spec seed was ignored.
+    with pytest.raises(MeasureParamError, match="seed"):
+        protocol(annotated, n=10, measures=["circles:t=0.5,seed=1"], runs=1)
+
+
 def test_circles_seed_must_be_an_integer():
     with pytest.raises(MeasureParamError, match="seed"):
         parse_measure_spec("circles:t=0.5,seed=x")
@@ -172,4 +179,24 @@ def test_measure_refuses_large_dpp_before_any_work(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert code == 1
     assert "dpp determinant refused for n=2049 > 2048" in captured.err
+    assert captured.out == ""
+
+
+def test_measure_refuses_large_exact_packing_before_any_work(tmp_path, capsys, monkeypatch):
+    import chemspace.measures
+
+    def must_not_run(dmatrix):
+        raise AssertionError("an earlier measure ran before the exact-cap refusal")
+
+    monkeypatch.setattr(chemspace.measures, "diversity_from_dmatrix", must_not_run)
+    monkeypatch.delenv("CHEMSPACE_EXACT_CAP", raising=False)
+    rng = np.random.default_rng(0)
+    bits = (rng.random((65, 32)) < 0.5).astype(np.uint8)
+    ds = Dataset([MoleculeRecord(f"m{i}", Fingerprint.from_bits(b)) for i, b in enumerate(bits)])
+    path = tmp_path / "over_cap.tsv"
+    write_dataset(ds, path)
+    code = main(["measure", "--in", str(path), "--measures", "diversity,circles:t=0.5,mode=exact"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "exact packing refused for n=65 > cap 64" in captured.err
     assert captured.out == ""
