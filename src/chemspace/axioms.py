@@ -20,6 +20,7 @@ import numpy as np
 
 from .circles import circles_exact
 from .distances import MatrixOracle
+from .errors import AxiomCheckError
 from .measures import MEASURES, MeasureSpec, Selection, parse_measure_spec
 
 TOLERANCE = 1e-9
@@ -277,6 +278,8 @@ def check_subadditivity(
     worlds of 2 to 12 points with random overlapping splits, up to ``trials``
     candidates in all (every construction is tried even when trials is smaller).
     """
+    if trials < 1:
+        raise AxiomCheckError(f"trials must be at least 1, got {trials}")
     seeded = _seed_worlds(spec.kind)
     rng = np.random.default_rng(seed)
     drawn = (("random world search", *_random_split(rng)) for _ in range(trials - len(seeded)))

@@ -145,12 +145,19 @@ def circles_exact(
     return PackingResult(count=size, centers=centers, t=t, mode="exact", optimal=True)
 
 
+def admits(dists_to_centers: np.ndarray, t: float) -> bool:
+    """The admission rule of sphere exclusion: a point joins the centers when
+    it is farther than t from every one of them, so always when there are
+    none."""
+    return bool(np.all(dists_to_centers > t))
+
+
 def greedy_pack_positions(
     dist_rows, n: int, t: float, order: np.ndarray
 ) -> list[int]:
-    """One sphere-exclusion pass: admit a point when it is farther than t
-    from every already-admitted center. ``dist_rows(pos)`` yields the distance
-    row of a point against all n points."""
+    """One sphere-exclusion pass under ``admits``, kept as a running minimum
+    of each point's distance to the centers so far. ``dist_rows(pos)`` yields
+    the distance row of a point against all n points."""
     min_dist = np.full(n, np.inf)
     centers: list[int] = []
     for pos in order:
@@ -242,12 +249,9 @@ class IncrementalPacking:
 
     def add(self, dists_to_members: np.ndarray) -> int:
         """Add the next point given its distances to all previous members."""
-        pos = self._size
+        if admits(dists_to_members[self.center_positions], self.t):
+            self.center_positions.append(self._size)
         self._size += 1
-        if not self.center_positions:
-            self.center_positions.append(pos)
-        elif float(dists_to_members[self.center_positions].min()) > self.t:
-            self.center_positions.append(pos)
         return len(self.center_positions)
 
     @property

@@ -257,7 +257,6 @@ def cmd_corr_fixed(args) -> int:
         seed=args.seed,
         repeats=args.repeats,
         runs=args.runs,
-        jobs=args.jobs,
     )
     rows = [s.to_dict() for s in result.stats]
     doc = _base_doc("corr-fixed", {**result.config, "input": str(args.input)})
@@ -276,7 +275,6 @@ def cmd_corr_growing(args) -> int:
         seed=args.seed,
         runs=args.runs,
         normalize_dtw=args.normalize_dtw,
-        jobs=args.jobs,
     )
     rows = [s.to_dict() for s in result.stats]
     doc = _base_doc("corr-growing", {**result.config, "input": str(args.input)})
@@ -297,7 +295,6 @@ def cmd_sweep_t(args) -> int:
         repeats=args.repeats,
         runs=args.runs,
         bias=args.bias,
-        jobs=args.jobs,
     )
     doc = _base_doc("sweep-t", {**sweep.config, "input": str(args.input)})
     doc["results"] = sweep.rows
@@ -398,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=200)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--measures", default=",".join(DEFAULT_PROTOCOL_MEASURES))
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for independent runs")
     _add_common(p)
     p.set_defaults(fn=cmd_corr_fixed)
 
@@ -409,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", choices=("uniform", "similar", "most-similar"), default="similar")
     p.add_argument("--normalize-dtw", action="store_true")
     p.add_argument("--measures", default=",".join(DEFAULT_PROTOCOL_MEASURES))
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for independent runs")
     _add_common(p)
     p.set_defaults(fn=cmd_corr_growing)
 
@@ -421,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--bias", choices=("uniform", "similar", "most-similar"), default="similar")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for independent runs")
     _add_common(p)
     p.set_defaults(fn=cmd_sweep_t)
 

@@ -39,3 +39,7 @@ class MeasureSizeError(ChemSpaceError):
 
 class ProtocolError(ChemSpaceError):
     """A correlation protocol could not satisfy its sampling preconditions."""
+
+
+class AxiomCheckError(ChemSpaceError):
+    """An axiom check was asked for a verdict with no search behind it."""

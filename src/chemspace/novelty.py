@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circles import circles_greedy
+from .circles import admits, circles_greedy
 from .distances import DistanceOracle, TanimotoOracle, tanimoto_from_row
 from .errors import DimensionMismatchError
 from .fingerprints import Dataset, Fingerprint
@@ -102,9 +102,7 @@ def novelty_circles(candidate: Fingerprint | int, ctx: NoveltyContext) -> int:
     """
     if ctx.t is None:
         raise ValueError("novelty_circles requires the context threshold t")
-    if len(ctx.members) == 0:
-        return 1
-    return int(float(ctx.distances(candidate).min()) > ctx.t)
+    return int(admits(ctx.distances(candidate), ctx.t))
 
 
 NOVELTY_KINDS = {

@@ -121,13 +121,25 @@ def _require_labels(dataset: Dataset) -> None:
             raise ProtocolError(f"protocols need a fully labeled dataset; {rec.id!r} has no label")
 
 
-def _resolve_specs(measures: Sequence[MeasureSpec | str], n: int, jobs: int) -> list[MeasureSpec]:
-    """Check a protocol's worker count and parse and check every spec for it
-    on n-point sets, before any work. Protocols pack greedily with seeds drawn
-    from the run seed, so an explicit circles mode other than greedy, or a
-    circles seed, is refused."""
-    if jobs < 1:
-        raise ProtocolError(f"jobs must be at least 1, got {jobs}")
+_IGNORED_CIRCLES_PARAMS = {
+    "seed": "protocols draw each packing's seed from the run seed",
+    "restarts": "the growing-size protocol packs once, in arrival order",
+}
+
+
+def _resolve_specs(
+    measures: Sequence[MeasureSpec | str],
+    n: int,
+    counts: dict[str, int],
+    ignored: tuple[str, ...],
+) -> list[MeasureSpec]:
+    """Check a protocol's run counts, then parse and check every spec for it
+    on n-point sets, before any work. Protocols pack greedily, so an explicit
+    circles mode other than greedy is refused, and so is any circles param
+    named in ``ignored``, which the protocol would not read."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ProtocolError(f"{name} must be at least 1, got {count}")
     out = []
     for m in measures:
         spec = parse_measure_spec(m) if isinstance(m, str) else m
@@ -136,10 +148,11 @@ def _resolve_specs(measures: Sequence[MeasureSpec | str], n: int, jobs: int) -> 
             raise MeasureParamError(
                 f"{spec.key()}: protocols pack greedily; drop mode or set mode=greedy"
             )
-        if spec.kind == "circles" and "seed" in spec.params:
-            raise MeasureParamError(
-                f"{spec.key()}: protocols draw each packing's seed from the run seed; drop seed"
-            )
+        for name in ignored:
+            if spec.kind == "circles" and name in spec.params:
+                raise MeasureParamError(
+                    f"{spec.key()}: {_IGNORED_CIRCLES_PARAMS[name]}; drop {name}"
+                )
         out.append(spec)
     return out
 
@@ -186,7 +199,6 @@ def protocol_fixed(
     repeats: int = 200,
     runs: int = 10,
     oracle: TanimotoOracle | None = None,
-    jobs: int = 1,
 ) -> ProtocolResult:
     """Fixed-size setting: rank correlation of each measure with the gold
     standard over repeated random subsets, aggregated over independent runs.
@@ -198,7 +210,7 @@ def protocol_fixed(
     _require_labels(dataset)
     if not 1 <= n <= len(dataset):
         raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
-    specs = _resolve_specs(measures, n, jobs)
+    specs = _resolve_specs(measures, n, {"repeats": repeats, "runs": runs}, ("seed",))
     classes = dataset.label_classes()
     oracle = oracle or TanimotoOracle(dataset)
     full = oracle.full_matrix()
@@ -227,7 +239,7 @@ def protocol_fixed(
             out[key] = (rho, degenerate)
         return out
 
-    per_run = _map_jobs(one_run, range(runs), jobs)
+    per_run = [one_run(r) for r in range(runs)]
     stats = []
     for spec in specs:
         key = spec.key()
@@ -405,7 +417,6 @@ def protocol_growing(
     runs: int = 10,
     normalize_dtw: bool = False,
     oracle: TanimotoOracle | None = None,
-    jobs: int = 1,
 ) -> ProtocolResult:
     """Growing-size setting: per-step measure curves under a sampling bias,
     compared with the gold-standard curve by DTW on incremental series."""
@@ -414,7 +425,7 @@ def protocol_growing(
         raise ProtocolError(f"bias must be one of {BIAS_MODES}, got {bias!r}")
     if not 1 <= n <= len(dataset):
         raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
-    specs = _resolve_specs(measures, n, jobs)
+    specs = _resolve_specs(measures, n, {"runs": runs}, ("seed", "restarts"))
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
     classes = dataset.label_classes()
@@ -450,7 +461,7 @@ def protocol_growing(
                 dtws[spec.key()] = dtw(gs_inc, gs_inc, normalize=normalize_dtw)
         return curve, dtws
 
-    results = _map_jobs(one_run, range(runs), jobs)
+    results = [one_run(r) for r in range(runs)]
     curves = [r[0] for r in results]
     stats = []
     for spec in specs:
@@ -490,30 +501,36 @@ def threshold_sweep(
     repeats: int = 100,
     runs: int = 10,
     bias: str = "similar",
-    restarts: int = 8,
+    restarts: int | None = None,
     oracle: TanimotoOracle | None = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Run the chosen protocol for the packing measure across a threshold
     grid. Best t maximizes the fixed-size correlation (ties to the smallest
-    t) or minimizes the growing-size DTW distance."""
+    t) or minimizes the growing-size DTW distance. The fixed-size protocol
+    packs best-of-``restarts`` (default ``DEFAULT_RESTARTS``); the
+    growing-size protocol packs once and refuses ``restarts``."""
     if protocol not in ("fixed", "growing"):
         raise ProtocolError(f"protocol must be fixed|growing, got {protocol!r}")
+    t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise ProtocolError("the threshold grid is empty")
+    if protocol == "fixed" and restarts is None:
+        restarts = DEFAULT_RESTARTS
     oracle = oracle or TanimotoOracle(dataset)
     rows = []
     scores = []
     for t in t_grid:
-        t = float(t)
-        spec = MeasureSpec("circles", {"t": t, "restarts": restarts})
+        params = {"t": t} if restarts is None else {"t": t, "restarts": restarts}
+        spec = MeasureSpec("circles", params)
         if protocol == "fixed":
             result = protocol_fixed(
                 dataset, n=n, measures=[spec], seed=seed, repeats=repeats, runs=runs,
-                oracle=oracle, jobs=jobs,
+                oracle=oracle,
             )
         else:
             result = protocol_growing(
                 dataset, n=n, measures=[spec], bias=bias, seed=seed, runs=runs,
-                oracle=oracle, jobs=jobs,
+                oracle=oracle,
             )
         stat = result.stats[0]
         rows.append({"t": t, **stat.to_dict()})
@@ -522,21 +539,11 @@ def threshold_sweep(
     best_idx = int(np.argmax(scores_arr)) if protocol == "fixed" else int(np.argmin(scores_arr))
     config = {
         "protocol": protocol,
-        "t_grid": [float(t) for t in t_grid],
+        "t_grid": t_grid,
         "n": n,
         "seed": seed,
         "repeats": repeats if protocol == "fixed" else None,
         "runs": runs,
         "bias": bias if protocol == "growing" else None,
     }
-    return SweepResult(rows=rows, best_t=float(t_grid[best_idx]), config=config)
-
-
-def _map_jobs(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    return SweepResult(rows=rows, best_t=t_grid[best_idx], config=config)

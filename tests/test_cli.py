@@ -215,16 +215,44 @@ def test_novelty_on_empty_dataset_refused(tmp_path, monkeypatch, capsys):
     assert _one_line_error(capsys)
 
 
-def test_jobs_only_on_protocol_commands(synthetic_tsv, capsys):
-    for command in (["measure", "--measures", "richness"], ["compare", "--measures", "richness"]):
-        with pytest.raises(SystemExit):
-            run_cli([command[0], "--in", synthetic_tsv, *command[1:], "--jobs", "2"])
-    with pytest.raises(SystemExit):
-        run_cli(["axiom-check", "--trials", "1", "--jobs", "2"])
+def test_no_command_takes_jobs(synthetic_tsv, tmp_path, capsys):
+    commands = (
+        ["measure", "--in", synthetic_tsv, "--measures", "richness"],
+        ["compare", "--in", synthetic_tsv, "--measures", "richness"],
+        ["axiom-check", "--trials", "1"],
+        ["corr-fixed", "--in", synthetic_tsv, "--n", "10", "--runs", "1"],
+        ["corr-growing", "--in", synthetic_tsv, "--n", "10", "--runs", "1"],
+        ["sweep-t", "--in", synthetic_tsv, "--n", "10", "--runs", "1"],
+        ["gen-synthetic", "--out", tmp_path / "g.tsv"],
+        ["novelty", "--in", synthetic_tsv, "--kind", "diversity"],
+    )
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command, "--jobs", "2"])
+        assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_zero_run_counts_refused(synthetic_tsv, capsys):
     for command in ("corr-fixed", "corr-growing", "sweep-t"):
-        code = run_cli([command, "--in", synthetic_tsv, "--n", "10", "--runs", "1", "--jobs", "0"])
+        code = run_cli([command, "--in", synthetic_tsv, "--n", "10", "--runs", "0"])
         assert code == 1
+        assert _one_line_error(capsys)
+    for command in ("corr-fixed", "sweep-t"):
+        code = run_cli([command, "--in", synthetic_tsv, "--n", "10", "--runs", "1", "--repeats", "0"])
+        assert code == 1
+        assert _one_line_error(capsys)
+
+
+def test_sweep_with_empty_threshold_grid_refused(synthetic_tsv, capsys):
+    code = run_cli(["sweep-t", "--in", synthetic_tsv, "--n", "10", "--runs", "1", "--t-grid", ","])
+    assert code == 1
+    assert _one_line_error(capsys)
+
+
+def test_axiom_check_without_trials_refused(capsys):
+    for trials in ("0", "-1"):
+        assert run_cli(["axiom-check", "--trials", trials]) == 1
         assert _one_line_error(capsys)
 
 

@@ -16,7 +16,13 @@ from chemspace.measures import (
     evaluate_selection,
     parse_measure_spec,
 )
-from chemspace.protocols import _fixed_selection, _GrowthTrackers, protocol_fixed, protocol_growing
+from chemspace.protocols import (
+    _fixed_selection,
+    _GrowthTrackers,
+    protocol_fixed,
+    protocol_growing,
+    threshold_sweep,
+)
 from chemspace.synthetic import SyntheticConfig, generate_synthetic
 
 DISTANCE_KINDS = [k for k, m in MEASURES.items() if m.reads == "distances" and k != "circles"]
@@ -147,6 +153,18 @@ def test_protocols_refuse_circles_seed(annotated, protocol):
     # Each repeat's packing seed comes from the run seed; a spec seed was ignored.
     with pytest.raises(MeasureParamError, match="seed"):
         protocol(annotated, n=10, measures=["circles:t=0.5,seed=1"], runs=1)
+
+
+def test_growing_protocol_refuses_circles_restarts(annotated):
+    # The growing-size protocol packs once in arrival order; restarts was ignored.
+    with pytest.raises(MeasureParamError, match="restarts"):
+        protocol_growing(annotated, n=10, measures=["circles:t=0.5,restarts=1"], runs=1)
+    with pytest.raises(MeasureParamError, match="restarts"):
+        threshold_sweep(annotated, protocol="growing", t_grid=(0.5,), n=10, runs=1, restarts=8)
+    sweep = threshold_sweep(annotated, protocol="growing", t_grid=(0.5,), n=10, runs=1)
+    assert sweep.rows[0]["measure"] == "circles:t=0.5"
+    fixed = protocol_fixed(annotated, n=10, measures=["circles:t=0.5,restarts=1"], repeats=3, runs=1)
+    assert fixed.stats[0].measure == "circles:restarts=1,t=0.5"
 
 
 def test_circles_seed_must_be_an_integer():

@@ -245,23 +245,6 @@ def test_threshold_sweep_deterministic(small_dataset):
     assert a.rows == b.rows and a.best_t == b.best_t
 
 
-def test_jobs_parallelism_matches_serial(small_dataset):
-    kwargs = dict(n=20, measures=["diversity", "circles:t=0.7"], seed=5, repeats=15, runs=4)
-    serial = protocol_fixed(small_dataset, **kwargs, jobs=1)
-    threaded = protocol_fixed(small_dataset, **kwargs, jobs=4)
-    for sa, sb in zip(serial.stats, threaded.stats):
-        assert sa.to_dict() == sb.to_dict()
-    kwargs = dict(n=25, measures=["diversity", "circles:t=0.7", "dpp"], seed=5, runs=4)
-    serial = protocol_growing(small_dataset, **kwargs, jobs=1)
-    threaded = protocol_growing(small_dataset, **kwargs, jobs=4)
-    assert [s.to_dict() for s in serial.stats] == [s.to_dict() for s in threaded.stats]
-    for protocol in ("fixed", "growing"):
-        kwargs = dict(protocol=protocol, t_grid=(0.5, 0.7), seed=3, n=15, repeats=10, runs=3)
-        serial = threshold_sweep(small_dataset, **kwargs, jobs=1)
-        threaded = threshold_sweep(small_dataset, **kwargs, jobs=3)
-        assert serial.rows == threaded.rows and serial.best_t == threaded.best_t
-
-
 def test_unlabeled_dataset_rejected():
     from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
 
