@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .axioms import quadrant_table
 from .distances import TanimotoOracle
-from .errors import ChemSpaceError, DatasetFormatError, MeasureParamError
+from .errors import ChemSpaceError, DatasetFormatError, MeasureParamError, ProtocolError
 from .fingerprints import Fingerprint, load_dataset, write_dataset
 from .measures import (
     MeasureSpec,
@@ -181,6 +181,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.repeats < 1:
+        raise MeasureParamError(f"repeats must be at least 1, got {args.repeats}")
     specs = _parse_measures(args.measures)
     rows = []
     for ds_path in args.inputs:
@@ -284,8 +286,11 @@ def cmd_corr_growing(args) -> int:
 
 
 def cmd_sweep_t(args) -> int:
+    try:
+        t_grid = [float(v) for v in args.t_grid.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ProtocolError(f"--t-grid: {exc}") from exc
     dataset = load_dataset(args.input)
-    t_grid = [float(v) for v in args.t_grid.split(",") if v.strip() != ""]
     sweep = threshold_sweep(
         dataset,
         protocol=args.protocol,
@@ -448,10 +453,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ChemSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ChemSpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

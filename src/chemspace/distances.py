@@ -73,7 +73,6 @@ class TanimotoOracle:
     def __init__(self, dataset: Dataset):
         if len(dataset) == 0:
             raise ValueError("cannot build an oracle over an empty dataset")
-        self.dataset = dataset
         self._words = dataset.words
         self._pops = dataset.popcounts
         self._full: np.ndarray | None = None

@@ -13,6 +13,10 @@ class DatasetFormatError(ChemSpaceError):
     """A dataset file could not be parsed or violated its invariants."""
 
 
+class SyntheticConfigError(ChemSpaceError, ValueError):
+    """A synthetic dataset was requested with out-of-range parameters."""
+
+
 class MatrixValidationError(ChemSpaceError):
     """An explicit distance matrix failed validation.
 

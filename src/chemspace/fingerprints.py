@@ -1,9 +1,12 @@
-"""Binary molecular fingerprints, molecule records, and dataset ingestion.
+"""Binary molecular fingerprints, molecule records, and columnar datasets.
 
 Fingerprints are stored packed into 64-bit machine words so that distance
 kernels can run on hardware popcounts (``np.bitwise_count``). Bit index 0 is
 the most significant bit of the first hex digit / the first character of a
 0/1 string.
+
+A loaded ``Dataset`` is columns: ``ids``, ``words``, ``popcounts``, ``labels``,
+``fragments``, ``classes`` and ``label_codes``. It keeps no ``MoleculeRecord``.
 """
 
 from __future__ import annotations
@@ -135,13 +138,15 @@ class MoleculeRecord:
 
 
 class Dataset:
-    """An ordered collection of molecule records with uniform fingerprint width.
+    """Molecules as columns, all of one fingerprint width.
 
-    Fingerprints are stored as one packed (n, words) uint64 matrix; per-record
-    popcounts are precomputed for the distance kernels.
+    ``words`` is the packed (n, words) uint64 matrix and ``popcounts`` its row
+    popcounts; ``labels`` and ``fragments`` hold None where a record has none;
+    ``classes`` lists the distinct labels in order of first appearance, and
+    ``label_codes`` indexes into it (-1 when unlabeled).
     """
 
-    def __init__(self, records: Sequence[MoleculeRecord]):
+    def __init__(self, records: Iterable[MoleculeRecord]):
         records = list(records)
         seen: set[str] = set()
         for rec in records:
@@ -151,44 +156,30 @@ class Dataset:
         widths = {rec.fp.width for rec in records}
         if len(widths) > 1:
             raise DatasetFormatError(f"inconsistent fingerprint widths: {sorted(widths)}")
-        self.records: tuple[MoleculeRecord, ...] = tuple(records)
         self.width: int = widths.pop() if widths else 0
         n_words = words_per_fingerprint(self.width) if records else 0
-        self.words = np.zeros((len(records), n_words), dtype=np.uint64)
-        for i, rec in enumerate(records):
-            self.words[i] = rec.fp.words
+        self.ids = tuple(rec.id for rec in records)
+        self.words = np.array([rec.fp.words for rec in records], dtype=np.uint64)
+        self.words = self.words.reshape(len(records), n_words)
         self.words.setflags(write=False)
         self.popcounts = np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
         self.popcounts.setflags(write=False)
+        self.labels = tuple(rec.label for rec in records)
+        self.fragments = tuple(rec.fragments for rec in records)
+        self.classes = tuple(dict.fromkeys(label for label in self.labels if label is not None))
+        codes = {label: c for c, label in enumerate(self.classes)}
+        self.label_codes = np.array([codes.get(label, -1) for label in self.labels], dtype=np.int64)
+        self.label_codes.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, i: int) -> MoleculeRecord:
-        return self.records[i]
-
-    @property
-    def labels(self) -> list[str | None]:
-        return [rec.label for rec in self.records]
+        return len(self.ids)
 
     def fingerprint_key(self, i: int) -> bytes:
         return self.words[i].tobytes()
 
-    def label_classes(self) -> list[str]:
-        """Distinct labels in record order of first appearance."""
-        out: list[str] = []
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.label is not None and rec.label not in seen:
-                seen.add(rec.label)
-                out.append(rec.label)
-        return out
-
-    def indices_for_labels(self, labels: Iterable[str]) -> np.ndarray:
-        wanted = set(labels)
-        return np.array(
-            [i for i, rec in enumerate(self.records) if rec.label in wanted], dtype=np.int64
-        )
+    def indices_for_labels(self, codes) -> np.ndarray:
+        """Ascending indices of the records whose label code is in ``codes``."""
+        return np.flatnonzero(np.isin(self.label_codes, codes))
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -200,24 +191,29 @@ def load_dataset(path: str | Path) -> Dataset:
     """
     path = Path(path)
     records: list[MoleculeRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise DatasetFormatError(f"{path}:{lineno}: expected at least id and fingerprint")
-            rec_id, fp_text = fields[0], fields[1]
-            try:
-                fp = Fingerprint.parse(fp_text)
-            except (DatasetFormatError, ValueError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-            label = fields[2] if len(fields) > 2 and fields[2] != "" else None
-            fragments = None
-            if len(fields) > 3 and fields[3] != "":
-                fragments = frozenset(f for f in fields[3].split(",") if f)
-            records.append(MoleculeRecord(id=rec_id, fp=fp, label=label, fragments=fragments))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) < 2:
+                    raise DatasetFormatError(
+                        f"{path}:{lineno}: expected at least id and fingerprint"
+                    )
+                rec_id, fp_text = fields[0], fields[1]
+                try:
+                    fp = Fingerprint.parse(fp_text)
+                except (DatasetFormatError, ValueError) as exc:
+                    raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
+                label = fields[2] if len(fields) > 2 and fields[2] != "" else None
+                fragments = None
+                if len(fields) > 3 and fields[3] != "":
+                    fragments = frozenset(f for f in fields[3].split(",") if f)
+                records.append(MoleculeRecord(id=rec_id, fp=fp, label=label, fragments=fragments))
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     try:
         return Dataset(records)
     except DatasetFormatError as exc:
@@ -233,18 +229,14 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     strings so a round trip is always faithful.
     """
     path = Path(path)
-    use_hex = dataset.width % 4 == 0
-    if use_hex:
-        for rec in dataset.records:
-            if not set(rec.fp.to_hex()) - {"0", "1"}:
-                use_hex = False
-                break
+    fps = [Fingerprint(dataset.width, row) for row in dataset.words]
+    use_hex = dataset.width % 4 == 0 and all(set(fp.to_hex()) - {"0", "1"} for fp in fps)
+    columns = zip(dataset.ids, fps, dataset.labels, dataset.fragments)
     with path.open("w", encoding="utf-8") as fh:
-        for rec in dataset.records:
-            fp_text = rec.fp.to_hex() if use_hex else rec.fp.to_bitstring()
-            fields = [rec.id, fp_text]
-            if rec.label is not None or rec.fragments is not None:
-                fields.append(rec.label or "")
-            if rec.fragments is not None:
-                fields.append(",".join(sorted(rec.fragments)))
+        for rec_id, fp, label, fragments in columns:
+            fields = [rec_id, fp.to_hex() if use_hex else fp.to_bitstring()]
+            if label is not None or fragments is not None:
+                fields.append(label or "")
+            if fragments is not None:
+                fields.append(",".join(sorted(fragments)))
             fh.write("\t".join(fields) + "\n")

@@ -242,19 +242,17 @@ class Selection:
 
 def dataset_readers(dataset: Dataset) -> dict[str, Callable[[int], Any]]:
     """Per-record ``key``, ``label`` and ``fragments`` readers for a dataset."""
-    records = dataset.records
+    ids, labels, fragment_sets = dataset.ids, dataset.labels, dataset.fragments
 
     def label(i: int) -> str:
-        rec = records[i]
-        if rec.label is None:
-            raise MeasureParamError(f"record {rec.id!r} has no class label")
-        return rec.label
+        if labels[i] is None:
+            raise MeasureParamError(f"record {ids[i]!r} has no class label")
+        return labels[i]
 
     def fragments(i: int) -> frozenset[str]:
-        rec = records[i]
-        if rec.fragments is None:
-            raise MissingFragmentsError(f"record {rec.id!r} has no fragment annotations")
-        return rec.fragments
+        if fragment_sets[i] is None:
+            raise MissingFragmentsError(f"record {ids[i]!r} has no fragment annotations")
+        return fragment_sets[i]
 
     return {"key": dataset.fingerprint_key, "label": label, "fragments": fragments}
 

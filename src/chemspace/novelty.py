@@ -39,9 +39,8 @@ class NoveltyContext:
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=np.int64)
         if self.dataset is not None:
-            words = self.dataset.words[self.members]
-            self._member_words = words
-            self._member_pops = np.bitwise_count(words).sum(axis=1).astype(np.int64)
+            self._member_words = self.dataset.words[self.members]
+            self._member_pops = self.dataset.popcounts[self.members]
 
     @classmethod
     def from_dataset(

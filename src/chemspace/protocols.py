@@ -115,10 +115,13 @@ class ProtocolResult:
         raise KeyError(measure_key)
 
 
-def _require_labels(dataset: Dataset) -> None:
-    for rec in dataset.records:
-        if rec.label is None:
-            raise ProtocolError(f"protocols need a fully labeled dataset; {rec.id!r} has no label")
+def _check_sample(dataset: Dataset, n: int) -> None:
+    """Protocols draw n-molecule sets from a fully labeled dataset."""
+    if None in dataset.labels:
+        missing = dataset.ids[dataset.labels.index(None)]
+        raise ProtocolError(f"protocols need a fully labeled dataset; {missing!r} has no label")
+    if not 1 <= n <= len(dataset):
+        raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
 
 
 _IGNORED_CIRCLES_PARAMS = {
@@ -157,15 +160,13 @@ def _resolve_specs(
     return out
 
 
-def _sample_label_pool(
-    rng: np.random.Generator, dataset: Dataset, classes: list[str], n: int
-) -> np.ndarray:
-    """Pick a uniform label-count m, then m labels, then return the pooled
+def _sample_label_pool(rng: np.random.Generator, dataset: Dataset, n: int) -> np.ndarray:
+    """Pick a uniform label-count m, then m label codes, then return the pooled
     record indices; retries when the pool cannot supply n molecules."""
+    n_classes = len(dataset.classes)
     for _ in range(MAX_SAMPLING_RETRIES):
-        m = int(rng.integers(1, len(classes) + 1))
-        chosen = rng.choice(len(classes), size=m, replace=False)
-        pool = dataset.indices_for_labels(classes[i] for i in chosen)
+        m = int(rng.integers(1, n_classes + 1))
+        pool = dataset.indices_for_labels(rng.choice(n_classes, size=m, replace=False))
         if len(pool) >= n:
             return pool
     raise ProtocolError(
@@ -207,11 +208,8 @@ def protocol_fixed(
     evaluates every measure on the same subset. Degenerate correlations
     (constant measure) are reported as 0 and counted per measure.
     """
-    _require_labels(dataset)
-    if not 1 <= n <= len(dataset):
-        raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
+    _check_sample(dataset, n)
     specs = _resolve_specs(measures, n, {"repeats": repeats, "runs": runs}, ("seed",))
-    classes = dataset.label_classes()
     oracle = oracle or TanimotoOracle(dataset)
     full = oracle.full_matrix()
     readers = dataset_readers(dataset)
@@ -226,7 +224,7 @@ def protocol_fixed(
             sample_ss, measure_ss = repeat_seqs[rep].spawn(2)
             rng_sample = np.random.default_rng(sample_ss)
             rng_measure = np.random.default_rng(measure_ss)
-            pool = _sample_label_pool(rng_sample, dataset, classes, n)
+            pool = _sample_label_pool(rng_sample, dataset, n)
             subset = rng_sample.choice(pool, size=n, replace=False)
             sel = _fixed_selection(full, subset, readers, rng_measure)
             gs_vals[rep] = evaluate_selection(gs_spec, sel).value
@@ -279,9 +277,8 @@ class _GrowthTrackers:
     goes singular, which for a PSD kernel is permanent).
     """
 
-    def __init__(self, specs: Sequence[MeasureSpec], dataset: Dataset):
+    def __init__(self, specs: Sequence[MeasureSpec]):
         self.specs = list(specs)
-        self.dataset = dataset
         self.size = 0
         self.pair_sum = 0.0
         self.max_dist = 0.0
@@ -420,15 +417,12 @@ def protocol_growing(
 ) -> ProtocolResult:
     """Growing-size setting: per-step measure curves under a sampling bias,
     compared with the gold-standard curve by DTW on incremental series."""
-    _require_labels(dataset)
+    _check_sample(dataset, n)
     if bias not in BIAS_MODES:
         raise ProtocolError(f"bias must be one of {BIAS_MODES}, got {bias!r}")
-    if not 1 <= n <= len(dataset):
-        raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
     specs = _resolve_specs(measures, n, {"runs": runs}, ("seed", "restarts"))
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
-    classes = dataset.label_classes()
     oracle = oracle or TanimotoOracle(dataset)
     full = oracle.full_matrix()
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
@@ -437,15 +431,16 @@ def protocol_growing(
         sample_ss, growth_ss = run_seeds[run_idx].spawn(2)
         rng_sample = np.random.default_rng(sample_ss)
         rng_growth = np.random.default_rng(growth_ss)
-        pool = _sample_label_pool(rng_sample, dataset, classes, n)
+        pool = _sample_label_pool(rng_sample, dataset, n)
         order = _grow_order(rng_growth, pool, n, bias, full, power)
-        trackers = _GrowthTrackers(tracked, dataset)
+        trackers = _GrowthTrackers(tracked)
         series = {spec.key(): np.empty(n) for spec in tracked}
         for step, idx in enumerate(order):
             idx = int(idx)
             dists = full[idx, order[:step]]
-            rec = dataset.records[idx]
-            values = trackers.add(dists, dataset.fingerprint_key(idx), rec.label, rec.fragments)
+            values = trackers.add(
+                dists, dataset.fingerprint_key(idx), dataset.labels[idx], dataset.fragments[idx]
+            )
             for key, val in values.items():
                 series[key][step] = val
         curve = CurveSeries(steps=np.arange(1, n + 1), values=series, form="cumulative")
@@ -516,6 +511,7 @@ def threshold_sweep(
         raise ProtocolError("the threshold grid is empty")
     if protocol == "fixed" and restarts is None:
         restarts = DEFAULT_RESTARTS
+    _check_sample(dataset, n)
     oracle = oracle or TanimotoOracle(dataset)
     rows = []
     scores = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import DatasetFormatError
 from .fingerprints import Dataset
 from .measures import MeasureSpec, evaluate_measure
 
@@ -37,5 +38,8 @@ def coverage(subset, dataset: Dataset, ref: ReferenceSet | None = None) -> int:
 
 def load_universe(path: str | Path) -> frozenset[str]:
     """Read an explicit fragment universe: one fragment id per line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return frozenset(line.strip() for line in lines if line.strip())

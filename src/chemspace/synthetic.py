@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SyntheticConfigError
 from .fingerprints import Dataset, Fingerprint, MoleculeRecord
 
 
@@ -25,11 +26,11 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.classes < 1 or self.per_class < 1:
-            raise ValueError("classes and per_class must be positive")
+            raise SyntheticConfigError("classes and per_class must be positive")
         if not 0 < self.core_bits <= self.width:
-            raise ValueError("core_bits must be in (0, width]")
+            raise SyntheticConfigError("core_bits must be in (0, width]")
         if not 0.0 <= self.flip_prob < 0.5:
-            raise ValueError("flip_prob must be in [0, 0.5)")
+            raise SyntheticConfigError("flip_prob must be in [0, 0.5)")
 
 
 def generate_synthetic(config: SyntheticConfig | None = None, seed: int = 0) -> Dataset:

@@ -244,6 +244,37 @@ def test_zero_run_counts_refused(synthetic_tsv, capsys):
         assert _one_line_error(capsys)
 
 
+# case id -> (command line over the shared TSV and a scratch dir, text the error names)
+ONE_LINE_ERRORS = {
+    "gen-classes-0": ("gen-synthetic --classes 0 --out {tmp}/g.tsv", "classes"),
+    "gen-per-class-0": ("gen-synthetic --per-class 0 --out {tmp}/g.tsv", "per_class"),
+    "gen-core-bits-above-width": ("gen-synthetic --width 64 --core-bits 65 --out {tmp}/g.tsv", "core_bits"),
+    "gen-flip-prob-0.7": ("gen-synthetic --flip-prob 0.7 --out {tmp}/g.tsv", "flip_prob"),
+    # The repeat count is refused before the (missing) input is read.
+    "compare-repeats-negative": ("compare --in {tmp}/missing.tsv --measures richness --repeats -2", "repeats"),
+    "compare-repeats-0": ("compare --in {data} --measures richness --repeats 0", "repeats"),
+    "sweep-empty-tsv": ("sweep-t --in {tmp}/empty.tsv --n 10 --runs 1", "subset size n=10 not in [1, 0]"),
+    "sweep-t-grid-not-numbers": ("sweep-t --in {data} --t-grid a,b", "--t-grid"),
+    "measure-directory-input": ("measure --in {tmp} --measures richness", "Is a directory"),
+    "measure-non-utf8-input": ("measure --in {tmp}/latin1.tsv --measures richness", "latin1.tsv: not UTF-8"),
+    "measure-non-utf8-universe": (
+        "measure --in {data} --measures coverage:universe={tmp}/latin1.tsv",
+        "latin1.tsv: not UTF-8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_LINE_ERRORS))
+def test_user_errors_exit_with_one_line(case, synthetic_tsv, tmp_path, capsys):
+    (tmp_path / "empty.tsv").write_text("# no records\n")
+    (tmp_path / "latin1.tsv").write_bytes(b"m1\tff\tcaf\xe9\n")
+    command, names = ONE_LINE_ERRORS[case]
+    assert run_cli(command.format(data=synthetic_tsv, tmp=tmp_path).split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert names in err and "Traceback" not in err
+
+
 def test_sweep_with_empty_threshold_grid_refused(synthetic_tsv, capsys):
     code = run_cli(["sweep-t", "--in", synthetic_tsv, "--n", "10", "--runs", "1", "--t-grid", ","])
     assert code == 1

@@ -95,10 +95,9 @@ def test_load_dataset_basic(tmp_path):
     )
     ds = load_dataset(p)
     assert len(ds) == 2 + 1
-    assert [r.id for r in ds.records] == ["m1", "m2", "m3"]
-    assert ds[0].label is None
-    assert ds[1].label == "kinase"
-    assert ds[2].fragments == frozenset({"fragA", "fragB"})
+    assert ds.ids == ("m1", "m2", "m3")
+    assert ds.labels == (None, "kinase", "kinase")
+    assert ds.fragments == (None, None, frozenset({"fragA", "fragB"}))
     assert ds.width == 16
 
 
@@ -127,8 +126,8 @@ def test_empty_label_field_with_fragments(tmp_path):
     p = tmp_path / "f.tsv"
     p.write_text("m1\tff\t\tfragA\n")
     ds = load_dataset(p)
-    assert ds[0].label is None
-    assert ds[0].fragments == frozenset({"fragA"})
+    assert ds.labels[0] is None
+    assert ds.fragments[0] == frozenset({"fragA"})
 
 
 def test_write_then_load_round_trip(tmp_path):
@@ -141,9 +140,9 @@ def test_write_then_load_round_trip(tmp_path):
     path = tmp_path / "out.tsv"
     write_dataset(ds, path)
     back = load_dataset(path)
-    assert [r.id for r in back.records] == [r.id for r in ds.records]
-    assert [r.label for r in back.records] == [r.label for r in ds.records]
-    assert [r.fragments for r in back.records] == [r.fragments for r in ds.records]
+    assert back.ids == ds.ids == ("a", "b", "c")
+    assert back.labels == ds.labels == ("c1", "c2", None)
+    assert back.fragments == ds.fragments == (frozenset({"x", "y"}), None, None)
     assert (back.words == ds.words).all()
 
 
@@ -152,7 +151,24 @@ def test_label_helpers():
         MoleculeRecord("a", Fingerprint.from_hex("f0"), "c2"),
         MoleculeRecord("b", Fingerprint.from_hex("0f"), "c1"),
         MoleculeRecord("c", Fingerprint.from_hex("ff"), "c2"),
+        MoleculeRecord("d", Fingerprint.from_hex("11"), None),
     ]
     ds = Dataset(records)
-    assert ds.label_classes() == ["c2", "c1"]
-    assert ds.indices_for_labels(["c2"]).tolist() == [0, 2]
+    assert ds.classes == ("c2", "c1")
+    assert ds.label_codes.tolist() == [0, 1, 0, -1]
+    assert ds.indices_for_labels([0]).tolist() == [0, 2]
+    assert ds.indices_for_labels([1, 0]).tolist() == [0, 1, 2]
+    assert ds.indices_for_labels([]).tolist() == []
+
+
+def test_dataset_keeps_columns_only():
+    records = [
+        MoleculeRecord("a", Fingerprint.from_hex("f0f0"), "c1", frozenset({"x"})),
+        MoleculeRecord("b", Fingerprint.from_hex("0ff1"), None, None),
+    ]
+    ds = Dataset(iter(records))
+    held = [v for col in vars(ds).values() for v in (col if isinstance(col, tuple) else [col])]
+    assert not any(isinstance(v, (MoleculeRecord, Fingerprint)) for v in held)
+    assert Fingerprint(ds.width, ds.words[1]) == records[1].fp
+    assert ds.popcounts.tolist() == [8, 9]
+    assert not ds.words.flags.writeable and not ds.label_codes.flags.writeable

@@ -37,10 +37,10 @@ def annotated():
     rng = np.random.default_rng(3)
     records = [
         MoleculeRecord(
-            rec.id, rec.fp, rec.label,
+            base.ids[i], Fingerprint(base.width, base.words[i]), base.labels[i],
             frozenset(f"f{k}" for k in rng.choice(9, size=int(rng.integers(1, 4)), replace=False)),
         )
-        for rec in base.records
+        for i in range(len(base))
     ]
     return Dataset(records)
 
@@ -51,7 +51,7 @@ def test_every_kind_agrees_across_entry_points(annotated):
     world = World(
         matrix=full,
         keys=[ds.fingerprint_key(i) for i in range(len(ds))],
-        fragments=[rec.fragments for rec in ds.records],
+        fragments=list(ds.fragments),
     )
     readers = dataset_readers(ds)
     universe = frozenset({"f0", "f2", "f4", "f7"})
@@ -71,11 +71,12 @@ def test_every_kind_agrees_across_entry_points(annotated):
             return evaluate_selection(spec, sel).value
 
         trackers = _GrowthTrackers(
-            shared + [MeasureSpec("gold_standard"), MeasureSpec("circles", {"t": 0.6})], ds
+            shared + [MeasureSpec("gold_standard"), MeasureSpec("circles", {"t": 0.6})]
         )
         for step, i in enumerate(subset):
-            rec = ds.records[i]
-            grown = trackers.add(full[i, subset[:step]], ds.fingerprint_key(i), rec.label, rec.fragments)
+            grown = trackers.add(
+                full[i, subset[:step]], ds.fingerprint_key(i), ds.labels[i], ds.fragments[i]
+            )
 
         for spec in shared:
             value = library(spec)
@@ -125,10 +126,11 @@ def test_growing_coverage_intersects_universe():
     ds = _coverage_dataset()
     spec = MeasureSpec("coverage", {"universe": frozenset({"f0", "f1"})})
     full = TanimotoOracle(ds).full_matrix()
-    trackers = _GrowthTrackers([spec], ds)
+    trackers = _GrowthTrackers([spec])
     for step in range(4):
-        rec = ds.records[step]
-        value = trackers.add(full[step, :step], ds.fingerprint_key(step), rec.label, rec.fragments)
+        value = trackers.add(
+            full[step, :step], ds.fingerprint_key(step), ds.labels[step], ds.fragments[step]
+        )
     assert value[spec.key()] == 2.0
     assert evaluate_measure(spec, range(4), dataset=ds).value == 2.0
 

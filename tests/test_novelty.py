@@ -18,11 +18,15 @@ def random_dataset(rng, n, width=32):
     return Dataset([MoleculeRecord(f"m{i}", Fingerprint.from_bits(r)) for i, r in enumerate(rows)])
 
 
+def member_fp(ds, i):
+    return Fingerprint(ds.width, ds.words[i])
+
+
 def test_duplicate_member_scores_zero():
     ds = random_dataset(np.random.default_rng(0), 1)
     ctx = NoveltyContext.from_dataset(ds)
-    assert novelty_diversity(ds.records[0].fp, ctx) == 0.0
-    assert novelty_sum_bottleneck(ds.records[0].fp, ctx) == 0.0
+    assert novelty_diversity(member_fp(ds, 0), ctx) == 0.0
+    assert novelty_sum_bottleneck(member_fp(ds, 0), ctx) == 0.0
 
 
 def test_mean_and_min_of_known_distances():
@@ -48,7 +52,7 @@ def test_matches_brute_force_over_random_candidates():
     ctx = NoveltyContext.from_dataset(ds, t=0.5)
     for _ in range(20):
         cand = Fingerprint.from_bits((rng.random(32) < 0.4).astype(np.uint8))
-        dists = [tanimoto_distance(cand, rec.fp) for rec in ds.records]
+        dists = [tanimoto_distance(cand, member_fp(ds, i)) for i in range(len(ds))]
         assert novelty_diversity(cand, ctx) == pytest.approx(np.mean(dists), abs=1e-12)
         assert novelty_sum_bottleneck(cand, ctx) == pytest.approx(min(dists), abs=1e-12)
         assert novelty_circles(cand, ctx) == int(min(dists) > 0.5)
@@ -59,16 +63,16 @@ def test_circles_indicator_trivial_cases():
     ds = random_dataset(rng, 5)
     ctx0 = NoveltyContext.from_dataset(ds, t=0.0)
     fresh = Fingerprint.from_bits(np.ones(32, dtype=np.uint8))
-    if all(tanimoto_distance(fresh, rec.fp) > 0 for rec in ds.records):
+    if all(tanimoto_distance(fresh, member_fp(ds, i)) > 0 for i in range(len(ds))):
         assert novelty_circles(fresh, ctx0) == 1
-    member = ds.records[2].fp
+    member = member_fp(ds, 2)
     assert novelty_circles(member, ctx0) == 0
 
 
 def test_empty_members():
     ds = random_dataset(np.random.default_rng(3), 4)
     ctx = NoveltyContext(members=[], dataset=ds, t=0.4)
-    cand = ds.records[0].fp
+    cand = member_fp(ds, 0)
     assert novelty_circles(cand, ctx) == 1
     with pytest.raises(ValueError):
         novelty_diversity(cand, ctx)
@@ -87,7 +91,7 @@ def test_admitted_candidate_preserves_packing_invariant():
         if novelty_circles(cand, ctx) == 1:
             admitted += 1
             for c in packing.centers:
-                assert tanimoto_distance(cand, ds.records[c].fp) > t
+                assert tanimoto_distance(cand, member_fp(ds, c)) > t
     # With t=0.45 on sparse random fingerprints some candidates are admitted.
     assert admitted > 0
 

@@ -108,7 +108,7 @@ def test_growth_trackers_match_direct_measures(small_dataset):
         MeasureSpec("dpp"),
         MeasureSpec("circles", {"t": 0.7}),
     ]
-    trackers = _GrowthTrackers(specs, ds)
+    trackers = _GrowthTrackers(specs)
     direct_fns = {
         "diversity": diversity,
         "sum_diversity": sum_diversity,
@@ -119,17 +119,14 @@ def test_growth_trackers_match_direct_measures(small_dataset):
     }
     for step, idx in enumerate(order):
         idx = int(idx)
-        rec = ds.records[idx]
         values = trackers.add(
-            full[idx, order[:step]], ds.fingerprint_key(idx), rec.label, rec.fragments
+            full[idx, order[:step]], ds.fingerprint_key(idx), ds.labels[idx], ds.fragments[idx]
         )
         prefix = [int(i) for i in order[: step + 1]]
         for kind, fn in direct_fns.items():
             assert values[kind] == pytest.approx(fn(prefix, oracle), abs=1e-9), (kind, step)
         assert values["richness"] == richness(prefix, ds)
-        assert values["gold_standard"] == len(
-            {ds.records[i].label for i in prefix}
-        )
+        assert values["gold_standard"] == len({ds.labels[i] for i in prefix})
         # Packing tracker equals a single greedy pass in arrival order.
         assert values["circles:t=0.7"] == circles_greedy(prefix, oracle, t=0.7, restarts=1).count
         if step < 12:
@@ -147,11 +144,11 @@ def test_growth_tracker_dpp_freezes_on_duplicates():
             MoleculeRecord("c", Fingerprint.from_bits([0, 1, 0, 1]), "c2"),
         ]
     )
-    trackers = _GrowthTrackers([MeasureSpec("dpp")], ds)
+    trackers = _GrowthTrackers([MeasureSpec("dpp")])
     full = TanimotoOracle(ds).full_matrix()
     order = [0, 1, 2]
     vals = [
-        trackers.add(full[i, order[:k]], ds.fingerprint_key(i), ds.records[i].label, None)["dpp"]
+        trackers.add(full[i, order[:k]], ds.fingerprint_key(i), ds.labels[i], None)["dpp"]
         for k, i in enumerate(order)
     ]
     assert vals == [0.0, 0.0, 0.0]  # singleton, exact duplicate, frozen

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chemspace.distances import TanimotoOracle
+from chemspace.errors import SyntheticConfigError
 from chemspace.fingerprints import load_dataset, write_dataset
 from chemspace.synthetic import SyntheticConfig, generate_synthetic
 
@@ -10,7 +11,7 @@ def test_zero_noise_gives_identical_class_members():
     ds = generate_synthetic(SyntheticConfig(classes=3, per_class=5, width=64, core_bits=10, flip_prob=0.0), seed=1)
     oracle = TanimotoOracle(ds)
     for c in range(3):
-        idx = ds.indices_for_labels([f"class{c:03d}"])
+        idx = ds.indices_for_labels([ds.classes.index(f"class{c:03d}")])
         assert oracle.submatrix(idx).max() == 0.0
 
 
@@ -31,7 +32,7 @@ def test_default_config_separates_classes():
     ds = generate_synthetic(SyntheticConfig(classes=8, per_class=10), seed=7)
     oracle = TanimotoOracle(ds)
     full = oracle.full_matrix()
-    labels = np.array([rec.label for rec in ds.records])
+    labels = np.array(ds.labels)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     off = ~np.eye(len(ds), dtype=bool)
@@ -62,9 +63,8 @@ def test_round_trip_through_tsv(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SyntheticConfig(classes=0)
-    with pytest.raises(ValueError):
-        SyntheticConfig(core_bits=0)
-    with pytest.raises(ValueError):
-        SyntheticConfig(flip_prob=0.7)
+    bad = [{"classes": 0}, {"per_class": 0}, {"core_bits": 0}, {"core_bits": 300}, {"flip_prob": 0.7}]
+    for params in bad:
+        with pytest.raises(SyntheticConfigError):
+            SyntheticConfig(**params)
+    assert issubclass(SyntheticConfigError, ValueError)
