@@ -14,6 +14,7 @@ they build the selection and in the circles policy they pass. The kernels
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -137,9 +138,16 @@ def _refuse_large_dpp(size: int | None) -> None:
 # ---------------------------------------------------------------------------
 # Kernels over a pairwise distance submatrix (square, zero diagonal).
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _offdiag(dmatrix: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(dmatrix.shape[0], k=1)
-    return dmatrix[iu]
+    return dmatrix[_upper_pairs(dmatrix.shape[0])]
 
 
 def diversity_from_dmatrix(dmatrix: np.ndarray) -> float:
@@ -334,13 +342,13 @@ MEASURES: dict[str, Measure] = {
         lambda tr, spec: tr.max_dist if tr.size > 1 else 0.0),
     "sum_diameter": Measure(
         "distances", lambda s, spec: (sum_diameter_from_dmatrix(s.dmatrix), {}),
-        lambda tr, spec: float(sum(tr.row_max)) if tr.size > 1 else 0.0),
+        lambda tr, spec: sum(tr.row_max.tolist()) if tr.size > 1 else 0.0),
     "bottleneck": Measure(
         "distances", lambda s, spec: (bottleneck_from_dmatrix(s.dmatrix), {}),
         lambda tr, spec: tr.min_dist if tr.size > 1 else 0.0),
     "sum_bottleneck": Measure(
         "distances", lambda s, spec: (sum_bottleneck_from_dmatrix(s.dmatrix), {}),
-        lambda tr, spec: float(sum(tr.row_min)) if tr.size > 1 else 0.0),
+        lambda tr, spec: sum(tr.row_min.tolist()) if tr.size > 1 else 0.0),
     "dpp": Measure(
         "distances", _dpp_batch, lambda tr, spec: tr.dpp if tr.size > 1 else 0.0,
         check=lambda spec, size: _refuse_large_dpp(size)),

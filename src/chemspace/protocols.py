@@ -283,8 +283,8 @@ class _GrowthTrackers:
         self.pair_sum = 0.0
         self.max_dist = 0.0
         self.min_dist = np.inf
-        self.row_max: list[float] = []
-        self.row_min: list[float] = []
+        self.row_max = np.empty(0)  # per member: farthest other member so far
+        self.row_min = np.empty(0)  # per member: nearest other member so far
         self.keys: set[bytes] = set()
         self.labels: set[str] = set()
         self.frag_union: set[str] = set()
@@ -337,20 +337,16 @@ class _GrowthTrackers:
         if self._has_dpp:
             self.dpp = self._dpp_value(dists)
         if self.size > 0:
+            far, near = float(dists.max()), float(dists.min())
             self.pair_sum += float(dists.sum())
-            self.max_dist = max(self.max_dist, float(dists.max()))
-            self.min_dist = min(self.min_dist, float(dists.min()))
-            for j in range(self.size):
-                d = float(dists[j])
-                if d > self.row_max[j]:
-                    self.row_max[j] = d
-                if d < self.row_min[j]:
-                    self.row_min[j] = d
-            self.row_max.append(float(dists.max()))
-            self.row_min.append(float(dists.min()))
+            self.max_dist = max(self.max_dist, far)
+            self.min_dist = min(self.min_dist, near)
+            np.maximum(self.row_max, dists, out=self.row_max)
+            np.minimum(self.row_min, dists, out=self.row_min)
         else:
-            self.row_max.append(0.0)
-            self.row_min.append(np.inf)
+            far, near = 0.0, np.inf
+        self.row_max = np.append(self.row_max, far)
+        self.row_min = np.append(self.row_min, near)
         self.keys.add(key)
         self.labels.add(label)
         if fragments is not None:

@@ -56,24 +56,34 @@ def _znorm(arr: np.ndarray) -> np.ndarray:
 def dtw(a, b, normalize: bool = False) -> float:
     """Dynamic time warping distance with |a_i - b_j| local cost.
 
-    Classic unwindowed dynamic program over match / insert / delete steps.
+    Classic unwindowed dynamic program over match / insert / delete steps:
+    ``acc[i, j] = |a_i - b_j| + min(acc[i-1, j], acc[i, j-1], acc[i-1, j-1])``.
+    It is computed by anti-diagonals ``k = i + j``, each from the two before
+    it, in O(n + m) memory. Each cell is one min and one addition whatever
+    the fill order, so the float result is the same as a row-by-row fill's.
     ``normalize`` z-scores both series first (off by default; the raw scales
-    are part of what the growing-size comparison looks at).
+    are part of what the growing-size comparison looks at). Empty or
+    non-finite series are refused.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("dtw requires nonempty series")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("dtw requires finite values")
     if normalize:
         a = _znorm(a)
         b = _znorm(b)
     n, m = a.size, b.size
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    for i in range(1, n + 1):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, m + 1):
-            row[j] = cost[i - 1, j - 1] + min(prev[j], row[j - 1], prev[j - 1])
-    return float(acc[n, m])
+    rb = b[::-1]
+    # Diagonal buffers indexed by i; cells off the grid stay inf.
+    before = np.full(n + 1, np.inf)  # k = 0: only acc[0, 0]
+    before[0] = 0.0
+    last = np.full(n + 1, np.inf)  # k = 1: acc[0, 1] and acc[1, 0]
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        cur = np.full(n + 1, np.inf)
+        step = np.minimum(np.minimum(last[lo - 1 : hi], last[lo : hi + 1]), before[lo - 1 : hi])
+        cur[lo : hi + 1] = np.abs(a[lo - 1 : hi] - rb[m - k + lo : m - k + hi + 1]) + step
+        before, last = last, cur
+    return float(last[n])

@@ -154,6 +154,75 @@ def test_growth_tracker_dpp_freezes_on_duplicates():
     assert vals == [0.0, 0.0, 0.0]  # singleton, exact duplicate, frozen
 
 
+def test_growth_tracker_sums_add_members_in_arrival_order(small_dataset):
+    # sum_diameter / sum_bottleneck must add the per-member extrema left to
+    # right, as Python's sum does; a pairwise (numpy) sum moves the last bits.
+    full = TanimotoOracle(small_dataset).full_matrix()
+    order = [int(i) for i in np.random.default_rng(12).permutation(len(small_dataset))[:60]]
+    trackers = _GrowthTrackers([MeasureSpec("sum_diameter"), MeasureSpec("sum_bottleneck")])
+    for step, idx in enumerate(order):
+        values = trackers.add(
+            full[idx, order[:step]], small_dataset.fingerprint_key(idx),
+            small_dataset.labels[idx], None,
+        )
+        if step == 0:
+            continue
+        prefix = order[: step + 1]
+        others = [[full[i, j] for j in prefix if j != i] for i in prefix]
+        assert values["sum_diameter"] == sum(max(row) for row in others), step
+        assert values["sum_bottleneck"] == sum(min(row) for row in others), step
+
+
+# per_run values recorded from the row-by-row DTW and list-based trackers;
+# any change to the protocol loops must reproduce them bit for bit.
+PINNED_GROWING = {
+    "similar": {
+        "diversity": [3.841061421923338, 3.949727591396906],
+        "sum_diversity": [14.062957303547359, 14.040075453455245],
+        "diameter": [3.3329219743390244, 3.5732078980926913],
+        "sum_diameter": [18.09321715399689, 17.244444328821622],
+        "bottleneck": [3.875, 3.8],
+        "sum_bottleneck": [11.76901081923885, 12.410811955625633],
+        "dpp": [3.9999999999998246, 3.9999999999997855],
+        "richness": [36.0, 36.0],
+        "circles:t=0.75": [0.0, 0.0],
+    },
+    "uniform": {
+        "diversity": [2.3517848198782074, 2.8305712071077895],
+        "sum_diversity": [29.440807907837304, 28.79225270638987],
+        "diameter": [2.1430155210643016, 2.669377228647746],
+        "sum_diameter": [35.835032623210104, 35.31051963845788],
+        "bottleneck": [2.9671261930010604, 3.163636363636364],
+        "sum_bottleneck": [11.785367144559006, 10.914340335527706],
+        "dpp": [3.004759071980719, 3.0661157024787404],
+        "richness": [35.0, 35.0],
+        "circles:t=0.75": [0.0, 0.0],
+    },
+}
+PINNED_FIXED = {
+    "diversity": [0.914997177538969, 0.9505396826655217],
+    "sum_diversity": [0.914997177538969, 0.9505396826655217],
+    "diameter": [0.3367342428071287, 0.5421069013567033],
+    "sum_diameter": [0.32735501116141125, 0.44270145836093183],
+    "bottleneck": [0.3401383373786615, 0.5511095821667291],
+    "sum_bottleneck": [0.6439882902499401, 0.774327589533731],
+    "dpp": [0.7963737588602695, 0.9345411787495355],
+    "richness": [0.0, 0.0],
+    "circles:t=0.75": [1.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("bias", sorted(PINNED_GROWING))
+def test_protocol_growing_per_run_pinned(small_dataset, bias):
+    result = protocol_growing(small_dataset, n=40, bias=bias, seed=3, runs=2)
+    assert {s.measure: s.per_run for s in result.stats} == PINNED_GROWING[bias]
+
+
+def test_protocol_fixed_per_run_pinned(small_dataset):
+    result = protocol_fixed(small_dataset, n=30, seed=3, repeats=30, runs=2)
+    assert {s.measure: s.per_run for s in result.stats} == PINNED_FIXED
+
+
 def test_protocol_growing_gs_dtw_zero(small_dataset):
     result = protocol_growing(
         small_dataset, n=40, measures=["gs", "richness"], bias="uniform", seed=4, runs=2

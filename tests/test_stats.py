@@ -42,6 +42,24 @@ def brute_force_dtw(a, b):
     return best
 
 
+def row_by_row_dtw(a, b, normalize=False):
+    """The row-by-row fill of the DTW recurrence (test reference)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if normalize:
+        a, b = (a - a.mean()) / a.std(), (b - b.mean()) / b.std()
+    n, m = a.size, b.size
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    cost = np.abs(a[:, None] - b[None, :])
+    for i in range(1, n + 1):
+        row = acc[i]
+        prev = acc[i - 1]
+        for j in range(1, m + 1):
+            row[j] = cost[i - 1, j - 1] + min(prev[j], row[j - 1], prev[j - 1])
+    return float(acc[n, m])
+
+
 def test_average_ranks_ties():
     assert average_ranks([10, 20, 20, 30]).tolist() == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([5, 5, 5]).tolist() == [2.0, 2.0, 2.0]
@@ -127,7 +145,24 @@ def test_dtw_matches_brute_force_enumeration():
         m = int(rng.integers(1, 7))
         a = rng.random(n) * 10
         b = rng.random(m) * 10
-        assert dtw(a, b) == pytest.approx(brute_force_dtw(a, b), abs=1e-12)
+        assert dtw(a, b) == brute_force_dtw(a, b)
+
+
+def test_dtw_equals_row_by_row_fill_exactly():
+    rng = np.random.default_rng(7)
+    for case in range(320):
+        n = 1 if case < 20 else int(rng.integers(1, 80))
+        m = n if case % 3 == 0 else int(rng.integers(1, 80))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        if case % 4 == 0:  # few distinct values: many tied mins
+            a = rng.integers(0, 4, n) * scale
+            b = rng.integers(0, 4, m) * scale
+        else:
+            a = rng.standard_normal(n) * scale
+            b = rng.standard_normal(m) * scale
+        # Normalizing a constant series divides by a zero deviation.
+        normalize = case % 2 == 1 and np.ptp(a) > 0 and np.ptp(b) > 0
+        assert dtw(a, b, normalize=normalize) == row_by_row_dtw(a, b, normalize), (case, n, m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,3 +185,11 @@ def test_dtw_normalize_flag():
 def test_dtw_rejects_empty():
     with pytest.raises(ValueError):
         dtw([], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dtw_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dtw([1.0, bad], [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        dtw([1.0, 2.0], [bad], normalize=True)
