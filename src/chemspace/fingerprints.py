@@ -1,7 +1,8 @@
 """Binary molecular fingerprints, molecule records, and columnar datasets.
 
-Fingerprints are stored packed into 64-bit machine words so that distance
-kernels can run on hardware popcounts (``np.bitwise_count``). Bit index 0 is
+Fingerprints are stored packed into 64-bit machine words. Distance rows are
+popcounts of ANDed words (``np.bitwise_count``); full distance blocks unpack
+the words once and count intersections as a BLAS product. Bit index 0 is
 the most significant bit of the first hex digit / the first character of a
 0/1 string.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .circles import DEFAULT_RESTARTS, IncrementalPacking, greedy_pack_count
 from .errors import MeasureParamError, MissingFragmentsError, ProtocolError
@@ -312,6 +311,8 @@ class _GrowthTrackers:
         if L.shape[0] == 1:
             l = sims / L[0, 0]
         else:
+            import scipy.linalg  # deferred: the CLI loads scipy only when a dpp tracker runs
+
             l = scipy.linalg.solve_triangular(L, sims, lower=True, check_finite=False)
         s = 1.0 - float(l @ l)
         if s <= 1e-300:

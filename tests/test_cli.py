@@ -351,5 +351,16 @@ def test_cli_subprocess_smoke(synthetic_tsv):
     assert doc["results"][0]["value"] == 60.0
 
 
+def test_cli_import_loads_no_scipy():
+    env_src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, chemspace.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_render_csv_empty():
     assert render_csv([]) == "\n"

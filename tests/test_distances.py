@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chemspace import distances
 from chemspace.distances import (
     MatrixOracle,
     TanimotoOracle,
     build_oracle,
     load_matrix,
     pairwise_tanimoto,
+    tanimoto_from_row,
 )
 from chemspace.errors import (
     DimensionMismatchError,
@@ -118,6 +120,73 @@ def test_pairwise_matches_scalar_kernel():
             assert full[i, j] == oracle.distance(i, j)
     row = oracle.row(5)
     assert (row == full[5]).all()
+
+
+def stacked_rows(ds):
+    """The reference: one ``tanimoto_from_row`` call per row, stacked."""
+    return np.stack(
+        [tanimoto_from_row(ds.words[i], ds.popcounts[i], ds.words, ds.popcounts) for i in range(len(ds))]
+    )
+
+
+def random_rows(seed, n, width, density, empty=0):
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((n, width)) < density).astype(np.uint8)
+    bits[rng.permutation(n)[:empty]] = 0
+    return bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.one_of(st.sampled_from([63, 64, 65]), st.integers(1, 300)),
+    n=st.integers(1, 40),
+    density=st.sampled_from([0.0, 0.02, 0.3, 0.7, 1.0]),
+    empty=st.integers(0, 3),
+    block_rows=st.integers(1, 45),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_bytes_equal_stacked_rows(width, n, density, empty, block_rows, seed):
+    ds = make_dataset(random_rows(seed, n, width, density, empty))
+    full = pairwise_tanimoto(ds.words, ds.popcounts, block_rows=block_rows)
+    assert full.tobytes() == stacked_rows(ds).tobytes()
+
+
+def test_pairwise_bytes_equal_stacked_rows_sparse_2048_bits():
+    # 2-5% of 2048 bits set, as in substructure fingerprints; 70 rows over
+    # blocks of 32 leave a partial last block.
+    ds = make_dataset(random_rows(11, 70, 2048, 0.035, empty=2))
+    full = pairwise_tanimoto(ds.words, ds.popcounts, block_rows=32)
+    assert full.tobytes() == stacked_rows(ds).tobytes()
+
+
+def test_pairwise_empty_rows_and_single_row():
+    ds = make_dataset([[0, 0, 0], [0, 0, 0], [1, 0, 1]])
+    full = pairwise_tanimoto(ds.words, ds.popcounts, block_rows=2)
+    assert full.tobytes() == np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]).tobytes()
+    for row in ([0, 0, 0, 0], [1, 0, 1, 1]):
+        one = make_dataset([row])
+        assert pairwise_tanimoto(one.words, one.popcounts).tobytes() == np.zeros((1, 1)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pairwise_exact_under_each_count_dtype(monkeypatch, dtype):
+    widths = []
+
+    def forced(width_bits):
+        widths.append(width_bits)
+        return dtype
+
+    monkeypatch.setattr(distances, "_count_dtype", forced)
+    ds = make_dataset(random_rows(5, 37, 130, 0.25, empty=2))
+    full = pairwise_tanimoto(ds.words, ds.popcounts, block_rows=8)
+    assert widths == [192]
+    assert full.tobytes() == stacked_rows(ds).tobytes()
+
+
+def test_count_dtype_is_float32_only_while_counts_are_exact():
+    assert distances._count_dtype(64) is np.float32
+    assert distances._count_dtype(2**24) is np.float32
+    assert distances._count_dtype(2**24 + 64) is np.float64
 
 
 def test_full_matrix_cache_consistency():
