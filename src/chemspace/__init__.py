@@ -11,7 +11,6 @@ from .axioms import (
     EXPECTED_CLASSIFICATION,
     AxiomReport,
     GeodesicConfig,
-    check_corollaries,
     check_dissimilarity,
     check_subadditivity,
     quadrant_table,
@@ -91,7 +90,6 @@ __all__ = [
     "TanimotoOracle",
     "bottleneck",
     "build_oracle",
-    "check_corollaries",
     "check_dissimilarity",
     "check_subadditivity",
     "circles_auto",

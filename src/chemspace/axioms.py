@@ -424,44 +424,6 @@ def check_dissimilarity(
     return CheckResult(spec.key(), "dissimilarity", True, trial_no, note=note)
 
 
-def check_corollaries(
-    spec: MeasureSpec, trials: int = 300, seed: int = 0, tol: float = TOLERANCE
-) -> dict[str, Any]:
-    """Spot-check the three consequences of subadditivity on random worlds:
-    subtraction bounds, monotonicity under insert/remove, and dominance of
-    supersets. Meaningful only for measures that passed the subadditivity
-    search."""
-    rng = np.random.default_rng(seed)
-    failures: dict[str, dict[str, Any]] = {}
-    for trial in range(trials):
-        world, s1, s2 = _random_split(rng)
-        diff = [i for i in s1 if i not in s2]
-        v1 = world_measure(spec, s1, world)
-        v2 = world_measure(spec, s2, world)
-        vdiff = world_measure(spec, diff, world)
-        if not (v1 + tol >= vdiff >= v1 - v2 - tol):
-            failures.setdefault("subtraction", {"trial": trial, "s1": s1, "s2": s2})
-        x = int(rng.integers(0, world.n))
-        with_x = sorted(set(s1) | {x})
-        without_x = [i for i in s1 if i != x]
-        vx = world_measure(spec, with_x, world)
-        vwo = world_measure(spec, without_x, world)
-        if not (vx + tol >= v1 >= vwo - tol):
-            failures.setdefault("monotonicity", {"trial": trial, "s1": s1, "x": x})
-        nested = [i for i in s1 if rng.random() < 0.6]
-        if not world_measure(spec, nested, world) <= v1 + tol:
-            failures.setdefault("dominance", {"trial": trial, "s1": s1, "nested": nested})
-    return {
-        "measure": spec.key(),
-        "trials": trials,
-        "seed": seed,
-        "subtraction": failures.get("subtraction", "holds"),
-        "monotonicity": failures.get("monotonicity", "holds"),
-        "dominance": failures.get("dominance", "holds"),
-        "all_hold": not failures,
-    }
-
-
 @dataclass
 class AxiomReport:
     """Both axiom verdicts for one measure."""

@@ -51,16 +51,11 @@ class PackingResult:
 
 def threshold_adjacency(dmatrix: np.ndarray, t: float) -> list[int]:
     """Conflict bitmasks: bit j set in mask i when d(i,j) <= t (i != j)."""
-    n = dmatrix.shape[0]
     close = dmatrix <= t
     np.fill_diagonal(close, False)
-    masks = []
-    for i in range(n):
-        mask = 0
-        for j in np.nonzero(close[i])[0]:
-            mask |= 1 << int(j)
-        masks.append(mask)
-    return masks
+    return [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in close
+    ]
 
 
 def _clique_cover_bound(avail: int, adj: list[int]) -> int:

@@ -36,6 +36,7 @@ from .measures import (
 )
 from .novelty import NOVELTY_KINDS, NoveltyContext
 from .protocols import (
+    BIAS_MODES,
     DEFAULT_PROTOCOL_MEASURES,
     protocol_fixed,
     protocol_growing,
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--bias", choices=("uniform", "similar", "most-similar"), default="similar")
+    p.add_argument("--bias", choices=BIAS_MODES, default="similar")
     p.add_argument("--normalize-dtw", action="store_true")
     p.add_argument("--measures", default=",".join(DEFAULT_PROTOCOL_MEASURES))
     _add_common(p)
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--bias", choices=("uniform", "similar", "most-similar"), default="similar")
+    p.add_argument("--bias", choices=BIAS_MODES, default="similar")
     _add_common(p)
     p.set_defaults(fn=cmd_sweep_t)
 

@@ -177,15 +177,12 @@ def _sample_label_pool(rng: np.random.Generator, dataset: Dataset, n: int) -> np
 # ---------------------------------------------------------------------------
 # Fixed-size setting.
 
-def _fixed_selection(
-    full: np.ndarray, subset: np.ndarray, readers: dict, rng: np.random.Generator
-) -> Selection:
-    """One repeat's subset. Distances come from the precomputed matrix; circles
-    is best-of-k greedy over its rows, seeded from ``rng`` in spec order."""
+def _fixed_selection(full: np.ndarray, subset: np.ndarray, readers: dict, seed: int) -> Selection:
+    """One repeat's subset. Distances come from the precomputed matrix; every
+    circles spec is best-of-k greedy over its rows from the repeat's seed."""
 
     def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
         restarts = int(spec.param("restarts", DEFAULT_RESTARTS))
-        seed = int(rng.integers(0, 2**31))
         return float(greedy_pack_count(sel.dmatrix, float(spec.param("t")), restarts, seed)), {}
 
     return Selection(subset, lambda: full[np.ix_(subset, subset)], pack, **readers)
@@ -198,19 +195,18 @@ def protocol_fixed(
     seed: int = 0,
     repeats: int = 200,
     runs: int = 10,
-    oracle: TanimotoOracle | None = None,
 ) -> ProtocolResult:
     """Fixed-size setting: rank correlation of each measure with the gold
     standard over repeated random subsets, aggregated over independent runs.
 
     Each repeat draws a label sub-universe, then n molecules from it, and
-    evaluates every measure on the same subset. Degenerate correlations
-    (constant measure) are reported as 0 and counted per measure.
+    evaluates every measure on the same subset; every circles spec packs from
+    one seed drawn per repeat. Degenerate correlations (constant measure) are
+    reported as 0 and counted per measure.
     """
     _check_sample(dataset, n)
     specs = _resolve_specs(measures, n, {"repeats": repeats, "runs": runs}, ("seed",))
-    oracle = oracle or TanimotoOracle(dataset)
-    full = oracle.full_matrix()
+    full = TanimotoOracle(dataset).full_matrix()
     readers = dataset_readers(dataset)
     gs_spec = MeasureSpec("gold_standard")
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
@@ -222,10 +218,10 @@ def protocol_fixed(
         for rep in range(repeats):
             sample_ss, measure_ss = repeat_seqs[rep].spawn(2)
             rng_sample = np.random.default_rng(sample_ss)
-            rng_measure = np.random.default_rng(measure_ss)
             pool = _sample_label_pool(rng_sample, dataset, n)
             subset = rng_sample.choice(pool, size=n, replace=False)
-            sel = _fixed_selection(full, subset, readers, rng_measure)
+            pack_seed = int(np.random.default_rng(measure_ss).integers(0, 2**31))
+            sel = _fixed_selection(full, subset, readers, pack_seed)
             gs_vals[rep] = evaluate_selection(gs_spec, sel).value
             for spec in specs:
                 meas_vals[spec.key()][rep] = evaluate_selection(spec, sel).value
@@ -410,7 +406,6 @@ def protocol_growing(
     seed: int = 0,
     runs: int = 10,
     normalize_dtw: bool = False,
-    oracle: TanimotoOracle | None = None,
 ) -> ProtocolResult:
     """Growing-size setting: per-step measure curves under a sampling bias,
     compared with the gold-standard curve by DTW on incremental series."""
@@ -420,8 +415,7 @@ def protocol_growing(
     specs = _resolve_specs(measures, n, {"runs": runs}, ("seed", "restarts"))
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
-    oracle = oracle or TanimotoOracle(dataset)
-    full = oracle.full_matrix()
+    full = TanimotoOracle(dataset).full_matrix()
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
 
     def one_run(run_idx: int) -> tuple[CurveSeries, dict[str, float]]:
@@ -446,11 +440,7 @@ def protocol_growing(
         dtws = {
             spec.key(): dtw(inc.values[spec.key()], gs_inc, normalize=normalize_dtw)
             for spec in specs
-            if spec.kind != "gold_standard"
         }
-        for spec in specs:
-            if spec.kind == "gold_standard":
-                dtws[spec.key()] = dtw(gs_inc, gs_inc, normalize=normalize_dtw)
         return curve, dtws
 
     results = [one_run(r) for r in range(runs)]
@@ -494,13 +484,15 @@ def threshold_sweep(
     runs: int = 10,
     bias: str = "similar",
     restarts: int | None = None,
-    oracle: TanimotoOracle | None = None,
 ) -> SweepResult:
-    """Run the chosen protocol for the packing measure across a threshold
-    grid. Best t maximizes the fixed-size correlation (ties to the smallest
-    t) or minimizes the growing-size DTW distance. The fixed-size protocol
-    packs best-of-``restarts`` (default ``DEFAULT_RESTARTS``); the
-    growing-size protocol packs once and refuses ``restarts``."""
+    """Score the packing measure at every grid threshold in one run of the
+    chosen protocol: one circles spec per t, all measured on the same subsets
+    or growth orders against one gold standard, so each row equals a
+    single-spec protocol run at that t. Best t maximizes the fixed-size
+    correlation (ties to the smallest t) or minimizes the growing-size DTW
+    distance. The fixed-size protocol packs best-of-``restarts`` (default
+    ``DEFAULT_RESTARTS``); the growing-size protocol packs once and refuses
+    ``restarts``."""
     if protocol not in ("fixed", "growing"):
         raise ProtocolError(f"protocol must be fixed|growing, got {protocol!r}")
     t_grid = [float(t) for t in t_grid]
@@ -508,28 +500,17 @@ def threshold_sweep(
         raise ProtocolError("the threshold grid is empty")
     if protocol == "fixed" and restarts is None:
         restarts = DEFAULT_RESTARTS
-    _check_sample(dataset, n)
-    oracle = oracle or TanimotoOracle(dataset)
-    rows = []
-    scores = []
-    for t in t_grid:
-        params = {"t": t} if restarts is None else {"t": t, "restarts": restarts}
-        spec = MeasureSpec("circles", params)
-        if protocol == "fixed":
-            result = protocol_fixed(
-                dataset, n=n, measures=[spec], seed=seed, repeats=repeats, runs=runs,
-                oracle=oracle,
-            )
-        else:
-            result = protocol_growing(
-                dataset, n=n, measures=[spec], bias=bias, seed=seed, runs=runs,
-                oracle=oracle,
-            )
-        stat = result.stats[0]
-        rows.append({"t": t, **stat.to_dict()})
-        scores.append(stat.mean)
-    scores_arr = np.asarray(scores)
-    best_idx = int(np.argmax(scores_arr)) if protocol == "fixed" else int(np.argmin(scores_arr))
+    specs = [
+        MeasureSpec("circles", {"t": t} if restarts is None else {"t": t, "restarts": restarts})
+        for t in t_grid
+    ]
+    if protocol == "fixed":
+        result = protocol_fixed(dataset, n=n, measures=specs, seed=seed, repeats=repeats, runs=runs)
+    else:
+        result = protocol_growing(dataset, n=n, measures=specs, bias=bias, seed=seed, runs=runs)
+    rows = [{"t": t, **stat.to_dict()} for t, stat in zip(t_grid, result.stats)]
+    scores = np.array([stat.mean for stat in result.stats])
+    best_idx = int(np.argmax(scores)) if protocol == "fixed" else int(np.argmin(scores))
     config = {
         "protocol": protocol,
         "t_grid": t_grid,

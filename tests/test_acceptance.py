@@ -44,10 +44,7 @@ def criterion(number, description, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def default_synthetic():
-    dataset = generate_synthetic(SyntheticConfig(), seed=2026)
-    oracle = TanimotoOracle(dataset)
-    oracle.full_matrix()
-    return dataset, oracle
+    return generate_synthetic(SyntheticConfig(), seed=2026)
 
 
 def random_metric_matrix(rng, n):
@@ -274,7 +271,7 @@ def test_criterion_6_dtw_and_spearman_oracles():
 
 
 def test_criterion_7_fixed_size_pattern(default_synthetic):
-    dataset, oracle = default_synthetic
+    dataset = default_synthetic
     start = time.perf_counter()
     sweep = threshold_sweep(
         dataset,
@@ -284,7 +281,6 @@ def test_criterion_7_fixed_size_pattern(default_synthetic):
         n=200,
         repeats=40,
         runs=3,
-        oracle=oracle,
     )
     result = protocol_fixed(
         dataset,
@@ -293,7 +289,6 @@ def test_criterion_7_fixed_size_pattern(default_synthetic):
         seed=77,
         repeats=100,
         runs=10,
-        oracle=oracle,
     )
     elapsed = time.perf_counter() - start
     circ = result.stats[0].per_run
@@ -310,7 +305,7 @@ def test_criterion_7_fixed_size_pattern(default_synthetic):
 
 
 def test_criterion_8_growing_size_pattern(default_synthetic):
-    dataset, oracle = default_synthetic
+    dataset = default_synthetic
     result = protocol_growing(
         dataset,
         n=500,
@@ -318,7 +313,6 @@ def test_criterion_8_growing_size_pattern(default_synthetic):
         bias="similar",
         seed=99,
         runs=10,
-        oracle=oracle,
     )
     per_run = {s.measure: s.per_run for s in result.stats}
     circ_key = next(k for k in per_run if k.startswith("circles"))

@@ -4,7 +4,6 @@ import pytest
 from chemspace.axioms import (
     EXPECTED_CLASSIFICATION,
     GeodesicConfig,
-    check_corollaries,
     check_dissimilarity,
     check_subadditivity,
     quadrant_table,
@@ -135,15 +134,6 @@ def test_geodesic_config_validation():
         GeodesicConfig(0.5, 0.5)
     with pytest.raises(ValueError):
         GeodesicConfig(1.5, 0.2)
-
-
-@pytest.mark.parametrize("spec", SUBADDITIVE_SPECS, ids=lambda s: s.key())
-def test_corollaries_hold_for_subadditive_measures(spec):
-    report = check_corollaries(spec, trials=200, seed=5)
-    assert report["all_hold"]
-    assert report["subtraction"] == "holds"
-    assert report["monotonicity"] == "holds"
-    assert report["dominance"] == "holds"
 
 
 def test_quadrant_table_matches_expected():

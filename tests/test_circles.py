@@ -208,3 +208,27 @@ def test_mis_small_graphs():
     assert max_independent_set([0b110, 0b101, 0b011])[0] == 1
     # Empty graph on 4 vertices: 4.
     assert max_independent_set([0, 0, 0, 0])[0] == 4
+
+
+def bit_loop_adjacency(dmatrix, t):
+    """Conflict masks built one bit at a time (reference construction)."""
+    close = dmatrix <= t
+    np.fill_diagonal(close, False)
+    masks = []
+    for i in range(dmatrix.shape[0]):
+        mask = 0
+        for j in np.nonzero(close[i])[0]:
+            mask |= 1 << int(j)
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_threshold_adjacency_matches_bit_loop(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        m = rng.random((n, n))
+        m = (m + m.T) / 2
+        np.fill_diagonal(m, 0.0)
+        for t in (0.0, 0.3, 0.5, 1.0):
+            assert threshold_adjacency(m, t) == bit_loop_adjacency(m, t)

@@ -4,6 +4,7 @@ import pytest
 from chemspace.circles import circles_greedy
 from chemspace.distances import TanimotoOracle
 from chemspace.errors import ProtocolError
+from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
 from chemspace.measures import (
     MeasureSpec,
     bottleneck,
@@ -302,6 +303,35 @@ def test_threshold_sweep_broad_plateau(small_dataset):
     best = max(r["mean"] for r in sweep.rows)
     near_best = [r["t"] for r in sweep.rows if r["mean"] >= best - 0.05]
     assert len(near_best) >= 2
+
+
+def test_fixed_circles_value_independent_of_other_specs():
+    # A circles spec packs from its repeat's seed, whatever specs precede it.
+    rng = np.random.default_rng(0)
+    bits = (rng.random((120, 48)) < 0.3).astype(int)
+    ds = Dataset(
+        [MoleculeRecord(f"m{i}", Fingerprint.from_bits(row), f"c{i % 6}") for i, row in enumerate(bits)]
+    )
+    kwargs = dict(n=40, seed=3, repeats=25, runs=2)
+    both = protocol_fixed(ds, measures=["circles:t=0.6", "circles:t=0.7"], **kwargs)
+    for key in ("circles:t=0.6", "circles:t=0.7"):
+        alone = protocol_fixed(ds, measures=[key], **kwargs)
+        assert both.stat(key).per_run == alone.stat(key).per_run
+
+
+@pytest.mark.parametrize("protocol", ["fixed", "growing"])
+def test_threshold_sweep_rows_equal_single_spec_runs(small_dataset, protocol):
+    grid = (0.5, 0.6, 0.7, 0.8)
+    common = dict(n=20, seed=4, runs=3)
+    sweep = threshold_sweep(small_dataset, protocol=protocol, t_grid=grid, repeats=15, **common)
+    assert [row["t"] for row in sweep.rows] == list(grid)
+    for row in sweep.rows:
+        spec = f"circles:t={row['t']}"
+        if protocol == "fixed":
+            single = protocol_fixed(small_dataset, measures=[spec], repeats=15, **common)
+        else:
+            single = protocol_growing(small_dataset, measures=[spec], **common)
+        assert row["per_run"] == single.stats[0].per_run
 
 
 def test_threshold_sweep_deterministic(small_dataset):
