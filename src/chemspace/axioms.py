@@ -8,12 +8,16 @@ replay applies the same violation test as the search that found it.
 Checks run on explicit-matrix worlds (random points embedded in the unit
 cube, distances scaled to [0, 1]) so that exact geodesic configurations can
 be constructed, which binary fingerprints cannot realize.
+
+A table runs one subadditivity search for all its measures: each random world
+is drawn once and tested against every measure still open. Each measure still
+sees ``trials`` candidates, its own constructions first, exactly as a search
+of its own would.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -269,6 +273,60 @@ def _random_split(rng: np.random.Generator) -> tuple[World, list[int], list[int]
     return world, s1, s2
 
 
+def _subadditivity_hit(
+    spec: MeasureSpec, trial_no: int, description: str, world: World, s1, s2, tol: float,
+    seed: int,
+) -> CheckResult | None:
+    """The refuted result when candidate ``trial_no`` violates subadditivity; None if not."""
+    hit = _subadditivity_violation(spec, world, s1, s2, tol)
+    if hit is None:
+        return None
+    return _refuted(
+        spec, "subadditivity", trial_no, hit, description, world.to_payload(), s1, s2, tol, seed
+    )
+
+
+def _search_subadditivity(
+    specs: tuple[MeasureSpec, ...], trials: int, seed: int, tol: float
+) -> list[CheckResult]:
+    """One subadditivity search over every spec, in spec order.
+
+    Each spec first tries its own k constructions (trials 1..k). Random world
+    j is then drawn once from the seeded stream and tested against every spec
+    still open, as that spec's trial k + j; a spec closes at its first hit or
+    once it has seen ``trials`` candidates (all its constructions, at least).
+    Only the current random world is kept.
+    """
+    if trials < 1:
+        raise AxiomCheckError(f"trials must be at least 1, got {trials}")
+    seeded = [_seed_worlds(spec.kind) for spec in specs]
+    budget = [max(trials, len(constructions)) for constructions in seeded]
+    found: list[CheckResult | None] = [None] * len(specs)
+    for pos, spec in enumerate(specs):
+        for trial_no, (description, world, s1, s2) in enumerate(seeded[pos], 1):
+            found[pos] = _subadditivity_hit(spec, trial_no, description, world, s1, s2, tol, seed)
+            if found[pos] is not None:
+                break
+    open_ = [pos for pos, n in enumerate(budget) if found[pos] is None and len(seeded[pos]) < n]
+    rng = np.random.default_rng(seed)
+    drawn = 0
+    while open_:
+        drawn += 1
+        world, s1, s2 = _random_split(rng)
+        for pos in open_:
+            trial_no = len(seeded[pos]) + drawn
+            found[pos] = _subadditivity_hit(
+                specs[pos], trial_no, "random world search", world, s1, s2, tol, seed
+            )
+        open_ = [p for p in open_ if found[p] is None and len(seeded[p]) + drawn < budget[p]]
+    note = "no counterexample in {} trials"
+    return [
+        CheckResult(spec.key(), "subadditivity", True, n, seed, note=note.format(n))
+        if result is None else result
+        for spec, n, result in zip(specs, budget, found)
+    ]
+
+
 def check_subadditivity(
     spec: MeasureSpec, trials: int = 1000, seed: int = 0, tol: float = TOLERANCE
 ) -> CheckResult:
@@ -278,21 +336,7 @@ def check_subadditivity(
     worlds of 2 to 12 points with random overlapping splits, up to ``trials``
     candidates in all (every construction is tried even when trials is smaller).
     """
-    if trials < 1:
-        raise AxiomCheckError(f"trials must be at least 1, got {trials}")
-    seeded = _seed_worlds(spec.kind)
-    rng = np.random.default_rng(seed)
-    drawn = (("random world search", *_random_split(rng)) for _ in range(trials - len(seeded)))
-    trial_no = 0
-    for trial_no, (description, world, s1, s2) in enumerate(chain(seeded, drawn), 1):
-        hit = _subadditivity_violation(spec, world, s1, s2, tol)
-        if hit is not None:
-            return _refuted(
-                spec, "subadditivity", trial_no, hit, description, world.to_payload(), s1, s2,
-                tol, seed,
-            )
-    note = f"no counterexample in {trial_no} trials"
-    return CheckResult(spec.key(), "subadditivity", True, trial_no, seed, note=note)
+    return _search_subadditivity((spec,), trials, seed, tol)[0]
 
 
 def replay_counterexample(ce: Counterexample | dict[str, Any]) -> bool:
@@ -456,10 +500,11 @@ def quadrant_table(
     classification against the expected one."""
     rows = []
     matches = True
-    for spec in specs:
+    subadditive = _search_subadditivity(specs, trials, seed, TOLERANCE)
+    for spec, sub in zip(specs, subadditive):
         report = AxiomReport(
             measure=spec.key(),
-            subadditive=check_subadditivity(spec, trials=trials, seed=seed),
+            subadditive=sub,
             dissimilar=check_dissimilarity(spec),
             trials=trials,
             seed=seed,

@@ -183,6 +183,22 @@ class Dataset:
         return np.flatnonzero(np.isin(self.label_codes, codes))
 
 
+def _width_mismatch(
+    text: str, width: int, first_line: int, first_text: str, first_width: int
+) -> str:
+    """Why a fingerprint's width differs from the first record's, naming the
+    0/1-digit rule of ``Fingerprint.parse`` when either text falls under it."""
+    message = (
+        f"width {width} differs from width {first_width} of the first record, line {first_line}"
+    )
+    bit_strings = [repr(t) for t in (first_text, text) if not set(t) - {"0", "1"}]
+    if bit_strings:
+        message += (
+            f"; text of only 0/1 digits ({', '.join(bit_strings)}) is read as a bit string, not hex"
+        )
+    return message
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load a TSV dataset: ``id<TAB>fingerprint<TAB>[label]<TAB>[fragments]``.
 
@@ -192,6 +208,7 @@ def load_dataset(path: str | Path) -> Dataset:
     """
     path = Path(path)
     records: list[MoleculeRecord] = []
+    first: tuple[int, str] = (0, "")  # line and fingerprint text of the first record
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -208,6 +225,11 @@ def load_dataset(path: str | Path) -> Dataset:
                     fp = Fingerprint.parse(fp_text)
                 except (DatasetFormatError, ValueError) as exc:
                     raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
+                if not records:
+                    first = (lineno, fp_text)
+                elif fp.width != records[0].fp.width:
+                    why = _width_mismatch(fp_text, fp.width, *first, records[0].fp.width)
+                    raise DatasetFormatError(f"{path}:{lineno}: {why}")
                 label = fields[2] if len(fields) > 2 and fields[2] != "" else None
                 fragments = None
                 if len(fields) > 3 and fields[3] != "":

@@ -55,20 +55,10 @@ DEFAULT_PROTOCOL_MEASURES: tuple[str, ...] = (
 
 @dataclass
 class CurveSeries:
-    """Per-step values of several measures over a growing set."""
+    """Per-step cumulative values of several measures over a growing set."""
 
     steps: np.ndarray
     values: dict[str, np.ndarray]
-    form: str  # "cumulative" or "incremental"
-
-    def to_incremental(self) -> "CurveSeries":
-        """First differences; the step-1 value is kept as-is."""
-        if self.form == "incremental":
-            return self
-        out = {
-            k: np.concatenate(([v[0]], np.diff(v))) for k, v in self.values.items()
-        }
-        return CurveSeries(steps=self.steps, values=out, form="incremental")
 
 
 @dataclass
@@ -434,14 +424,13 @@ def protocol_growing(
             )
             for key, val in values.items():
                 series[key][step] = val
-        curve = CurveSeries(steps=np.arange(1, n + 1), values=series, form="cumulative")
-        inc = curve.to_incremental()
-        gs_inc = inc.values[gs_spec.key()]
+        # First differences, the step-1 value kept as-is (v[0] - 0.0 == v[0]).
+        inc = {key: np.diff(v, prepend=0.0) for key, v in series.items()}
+        gs_inc = inc[gs_spec.key()]
         dtws = {
-            spec.key(): dtw(inc.values[spec.key()], gs_inc, normalize=normalize_dtw)
-            for spec in specs
+            spec.key(): dtw(inc[spec.key()], gs_inc, normalize=normalize_dtw) for spec in specs
         }
-        return curve, dtws
+        return CurveSeries(steps=np.arange(1, n + 1), values=series), dtws
 
     results = [one_run(r) for r in range(runs)]
     curves = [r[0] for r in results]

