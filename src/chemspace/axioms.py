@@ -17,6 +17,7 @@ of its own would.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -72,6 +73,12 @@ class World:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def key_codes(self) -> np.ndarray:
+        """Per point, a code that points share exactly when their keys are equal."""
+        codes: dict[str, int] = {}
+        return np.array([codes.setdefault(k, len(codes)) for k in self.keys], dtype=np.int64)
+
     def to_payload(self) -> dict[str, Any]:
         return {
             "matrix": [[float(v) for v in row] for row in self.matrix],
@@ -100,7 +107,7 @@ def world_measure(spec: MeasureSpec, subset, world: World) -> float:
         return float(circles_exact(idx, oracle, t=float(spec.param("t"))).count), {}
 
     sel = Selection(idx, lambda: oracle.submatrix(idx), pack,
-                    key=world.keys.__getitem__, fragments=world.fragments.__getitem__)
+                    key_codes=lambda i: world.key_codes[i], fragments=world.fragments.__getitem__)
     return MEASURES[spec.kind].batch(sel, spec)[0]
 
 

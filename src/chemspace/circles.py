@@ -1,9 +1,11 @@
 """Sphere-packing count of a molecule set: largest subset with all pairwise
 distances strictly above a threshold t.
 
-The count equals the maximum independent set of the threshold graph (edge
-where d <= t). Small sets are solved exactly by branch and bound; larger sets
-fall back to best-of-k greedy sphere exclusion.
+The count equals the maximum independent set of the conflict graph (edge
+where d <= t). Both solvers read that graph as Python-int bitmasks, bit j of
+point i's mask set when d(i, j) <= t. Small sets are solved exactly by branch
+and bound; larger sets fall back to best-of-k greedy sphere exclusion, each
+pass OR-ing the masks of its centers into one covered mask.
 """
 
 from __future__ import annotations
@@ -49,13 +51,19 @@ class PackingResult:
     optimal: bool
 
 
+def _bitmasks(close: np.ndarray) -> list[int]:
+    """One Python int per row of a boolean matrix, bit j set for column j."""
+    packed = np.packbits(close, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width or 1)]
+
+
 def threshold_adjacency(dmatrix: np.ndarray, t: float) -> list[int]:
     """Conflict bitmasks: bit j set in mask i when d(i,j) <= t (i != j)."""
     close = dmatrix <= t
     np.fill_diagonal(close, False)
-    return [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in close
-    ]
+    return _bitmasks(close)
 
 
 def _clique_cover_bound(avail: int, adj: list[int]) -> int:
@@ -147,32 +155,30 @@ def admits(dists_to_centers: np.ndarray, t: float) -> bool:
     return bool(np.all(dists_to_centers > t))
 
 
-def greedy_pack_positions(
-    dist_rows, n: int, t: float, order: np.ndarray
-) -> list[int]:
-    """One sphere-exclusion pass under ``admits``, kept as a running minimum
-    of each point's distance to the centers so far. ``dist_rows(pos)`` yields
-    the distance row of a point against all n points."""
-    min_dist = np.full(n, np.inf)
+def greedy_pack_positions(conflict, *, order) -> list[int]:
+    """One sphere-exclusion pass over the positions in ``order``.
+
+    ``conflict(pos)`` is the bitmask of the points within t of ``pos``. A
+    point is admitted under ``admits`` exactly when no earlier center's mask
+    covers its bit, so the pass keeps the union of those masks.
+    """
+    covered = 0
     centers: list[int] = []
     for pos in order:
-        pos = int(pos)
-        if min_dist[pos] > t:
+        if not covered >> pos & 1:
             centers.append(pos)
-            np.minimum(min_dist, dist_rows(pos), out=min_dist)
+            covered |= conflict(pos)
     return centers
 
 
-def _best_of_k(
-    dist_rows, n: int, t: float, restarts: int = DEFAULT_RESTARTS, seed: int = 0
-) -> list[int]:
+def _best_of_k(conflict, n: int, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> list[int]:
     """Best of k sphere-exclusion passes: the first in input order, the rest
     over seeded random permutations; ties keep the earliest pass."""
     rng = np.random.default_rng(seed)
     best: list[int] | None = None
     for restart in range(max(1, restarts)):
-        order = np.arange(n) if restart == 0 else rng.permutation(n)
-        centers = greedy_pack_positions(dist_rows, n, t, order)
+        order = range(n) if restart == 0 else rng.permutation(n).tolist()
+        centers = greedy_pack_positions(conflict, order=order)
         if best is None or len(centers) > len(best):
             best = centers
     return best
@@ -192,9 +198,11 @@ def circles_greedy(
     idx = np.asarray(list(subset), dtype=np.int64)
     if idx.size == 0:
         return PackingResult(count=0, centers=(), t=t, mode="greedy", optimal=False)
-    best = _best_of_k(
-        lambda pos: oracle.row(int(idx[pos]), targets=idx), int(idx.size), t, restarts, seed
-    )
+
+    def conflict(pos: int) -> int:
+        return _bitmasks(oracle.row(int(idx[pos]), targets=idx)[None, :] <= t)[0]
+
+    best = _best_of_k(conflict, int(idx.size), restarts, seed)
     centers_idx = tuple(int(idx[p]) for p in best)
     return PackingResult(
         count=len(best), centers=centers_idx, t=t, mode="greedy", optimal=False
@@ -204,9 +212,12 @@ def circles_greedy(
 def greedy_pack_count(
     dmatrix: np.ndarray, t: float, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> int:
-    """Greedy packing count straight from a precomputed distance matrix."""
+    """Greedy packing count straight from a precomputed distance matrix; the
+    conflict masks are built once and shared by every pass."""
     n = dmatrix.shape[0]
-    return len(_best_of_k(lambda pos: dmatrix[pos], n, t, restarts, seed)) if n else 0
+    if not n:
+        return 0
+    return len(_best_of_k(threshold_adjacency(dmatrix, t).__getitem__, n, restarts, seed))
 
 
 def circles_auto(

@@ -78,6 +78,12 @@ def pairwise_tanimoto(
     return out
 
 
+def gather_submatrix(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``matrix[np.ix_(idx, idx)]`` as one gather over the flattened matrix,
+    which costs less than the two-axis fancy index at every size used here."""
+    return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)
+
+
 class TanimotoOracle:
     """Lazy Tanimoto distance oracle over a fingerprint dataset."""
 
@@ -106,7 +112,7 @@ class TanimotoOracle:
     def submatrix(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
         if self._full is not None:
-            return self._full[np.ix_(idx, idx)]
+            return gather_submatrix(self._full, idx)
         return pairwise_tanimoto(self._words[idx], self._pops[idx])
 
     def full_matrix(self) -> np.ndarray:
@@ -148,7 +154,7 @@ class MatrixOracle:
 
     def submatrix(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
-        return self._matrix[np.ix_(idx, idx)]
+        return gather_submatrix(self._matrix, idx)
 
     def full_matrix(self) -> np.ndarray:
         return self._matrix

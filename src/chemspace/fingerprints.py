@@ -7,11 +7,13 @@ the most significant bit of the first hex digit / the first character of a
 0/1 string.
 
 A loaded ``Dataset`` is columns: ``ids``, ``words``, ``popcounts``, ``labels``,
-``fragments``, ``classes`` and ``label_codes``. It keeps no ``MoleculeRecord``.
+``fragments``, ``classes`` and ``label_codes``, plus ``key_codes``, built on
+first use. It keeps no ``MoleculeRecord``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -177,6 +179,14 @@ class Dataset:
 
     def fingerprint_key(self, i: int) -> bytes:
         return self.words[i].tobytes()
+
+    @functools.cached_property
+    def key_codes(self) -> np.ndarray:
+        """Per record, a code that records share exactly when their
+        fingerprints are equal; built on first use."""
+        codes = np.unique(self.words, axis=0, return_inverse=True)[1].ravel()
+        codes.setflags(write=False)
+        return codes
 
     def indices_for_labels(self, codes) -> np.ndarray:
         """Ascending indices of the records whose label code is in ``codes``."""

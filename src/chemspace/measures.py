@@ -9,7 +9,10 @@ on a whole ``Selection`` and its per-step value inside the growth trackers.
 ``evaluate_measure`` (library and CLI), the fixed-size protocol, the axiom
 worlds and the growth trackers all go through it; they differ only in how
 they build the selection and in the circles policy they pass. The kernels
-(``*_from_dmatrix``) operate on a precomputed pairwise distance submatrix.
+(``*_from_dmatrix``) operate on a precomputed pairwise distance submatrix. A
+``Selection`` caches that submatrix and its upper triangle, so the distance
+measures on one selection gather each once; richness and the gold standard
+count distinct codes in a column of fingerprint or label codes.
 """
 
 from __future__ import annotations
@@ -150,26 +153,29 @@ def _offdiag(dmatrix: np.ndarray) -> np.ndarray:
     return dmatrix[_upper_pairs(dmatrix.shape[0])]
 
 
-def diversity_from_dmatrix(dmatrix: np.ndarray) -> float:
+# Kernels that read the pairs above the diagonal take them as ``offdiag``,
+# gathered once per selection.
+
+def diversity_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
     n = dmatrix.shape[0]
     if n < 2:
         return 0.0
-    total = _offdiag(dmatrix).sum(dtype=np.longdouble)
+    total = offdiag.sum(dtype=np.longdouble)
     return float(2.0 * total / (n * (n - 1)))
 
 
-def sum_diversity_from_dmatrix(dmatrix: np.ndarray) -> float:
+def sum_diversity_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
     n = dmatrix.shape[0]
     if n < 2:
         return 0.0
-    total = _offdiag(dmatrix).sum(dtype=np.longdouble)
+    total = offdiag.sum(dtype=np.longdouble)
     return float(2.0 * total / (n - 1))
 
 
-def diameter_from_dmatrix(dmatrix: np.ndarray) -> float:
+def diameter_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
     if dmatrix.shape[0] < 2:
         return 0.0
-    return float(_offdiag(dmatrix).max())
+    return float(offdiag.max())
 
 
 def sum_diameter_from_dmatrix(dmatrix: np.ndarray) -> float:
@@ -181,10 +187,10 @@ def sum_diameter_from_dmatrix(dmatrix: np.ndarray) -> float:
     return float(masked.max(axis=1).sum(dtype=np.longdouble))
 
 
-def bottleneck_from_dmatrix(dmatrix: np.ndarray) -> float:
+def bottleneck_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
     if dmatrix.shape[0] < 2:
         return 0.0
-    return float(_offdiag(dmatrix).min())
+    return float(offdiag.min())
 
 
 def sum_bottleneck_from_dmatrix(dmatrix: np.ndarray) -> float:
@@ -226,19 +232,22 @@ class Selection:
 
     ``indices`` fixes the point order. ``dmatrix`` is the pairwise distance
     submatrix in that order: ``submatrix()`` builds it on first use, and the
-    distance measures on the selection then share it. ``key``, ``label`` and
-    ``fragments`` read one point's fingerprint key, class label and fragment
-    set. ``pack(selection, spec)`` is the caller's circles policy; it returns
-    the count and the metadata to report.
+    distance measures on the selection then share it and its upper triangle
+    ``offdiag``. ``key_codes`` and ``label_codes`` map an index array to the
+    points' fingerprint and class-label codes, equal exactly where the
+    fingerprints or labels are; ``fragments`` reads one point's fragment set.
+    ``pack(selection, spec)`` is the caller's circles policy; it returns the
+    count and the metadata to report.
     """
 
     indices: Any
     submatrix: Callable[[], np.ndarray]
     pack: Callable[["Selection", MeasureSpec], tuple[float, dict]]
-    key: Callable[[int], Any] | None = None
-    label: Callable[[int], Any] | None = None
+    key_codes: Callable[[Any], np.ndarray] | None = None
+    label_codes: Callable[[Any], np.ndarray] | None = None
     fragments: Callable[[int], Any] | None = None
     _dmatrix: np.ndarray | None = field(default=None, init=False, repr=False)
+    _upper: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def dmatrix(self) -> np.ndarray:
@@ -247,22 +256,35 @@ class Selection:
             self._dmatrix.setflags(write=False)
         return self._dmatrix
 
+    @property
+    def offdiag(self) -> np.ndarray:
+        """The distances above the diagonal of ``dmatrix``, row by row."""
+        if self._upper is None:
+            self._upper = _offdiag(self.dmatrix)
+        return self._upper
 
-def dataset_readers(dataset: Dataset) -> dict[str, Callable[[int], Any]]:
-    """Per-record ``key``, ``label`` and ``fragments`` readers for a dataset."""
-    ids, labels, fragment_sets = dataset.ids, dataset.labels, dataset.fragments
 
-    def label(i: int) -> str:
-        if labels[i] is None:
-            raise MeasureParamError(f"record {ids[i]!r} has no class label")
-        return labels[i]
+def dataset_readers(dataset: Dataset) -> dict[str, Callable[[Any], Any]]:
+    """The ``key_codes``, ``label_codes`` and ``fragments`` readers of a
+    dataset's records."""
+    ids, fragment_sets = dataset.ids, dataset.fragments
+
+    def key_codes(idx) -> np.ndarray:
+        return dataset.key_codes[idx]
+
+    def label_codes(idx) -> np.ndarray:
+        codes = dataset.label_codes[idx]
+        unlabeled = np.flatnonzero(codes < 0)
+        if unlabeled.size:
+            raise MeasureParamError(f"record {ids[idx[unlabeled[0]]]!r} has no class label")
+        return codes
 
     def fragments(i: int) -> frozenset[str]:
         if fragment_sets[i] is None:
             raise MissingFragmentsError(f"record {ids[i]!r} has no fragment annotations")
         return fragment_sets[i]
 
-    return {"key": dataset.fingerprint_key, "label": label, "fragments": fragments}
+    return {"key_codes": key_codes, "label_codes": label_codes, "fragments": fragments}
 
 
 def dataset_selection(
@@ -314,6 +336,12 @@ def _covered(fragment_sets, spec: MeasureSpec) -> float:
     return float(len(covered if universe is None else covered & universe))
 
 
+def _distinct(codes: np.ndarray) -> float:
+    # A set of Python ints: np.unique costs several times more per call on
+    # the 200-point protocol subsets and the few-point axiom worlds alike.
+    return float(len(set(codes.tolist())))
+
+
 def _dpp_batch(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
     value, raw = dpp_from_dmatrix(sel.dmatrix)
     return value, {"convention": "size<=1"} if raw is None else {"raw_determinant": raw}
@@ -323,28 +351,28 @@ def _dpp_batch(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
 # looked up at call time and a replaced kernel (a tracer, a test) takes effect.
 MEASURES: dict[str, Measure] = {
     "richness": Measure(
-        "keys", lambda s, spec: (float(len({s.key(i) for i in s.indices})), {}),
+        "keys", lambda s, spec: (_distinct(s.key_codes(s.indices)), {}),
         lambda tr, spec: float(len(tr.keys))),
     "gold_standard": Measure(
-        "labels", lambda s, spec: (float(len({s.label(i) for i in s.indices})), {}),
+        "labels", lambda s, spec: (_distinct(s.label_codes(s.indices)), {}),
         lambda tr, spec: float(len(tr.labels))),
     "coverage": Measure(
         "fragments", lambda s, spec: (_covered(map(s.fragments, s.indices), spec), {}),
         lambda tr, spec: _covered([tr.frag_union], spec)),
     "diversity": Measure(
-        "distances", lambda s, spec: (diversity_from_dmatrix(s.dmatrix), {}),
+        "distances", lambda s, spec: (diversity_from_dmatrix(s.dmatrix, s.offdiag), {}),
         lambda tr, spec: 2.0 * tr.pair_sum / (tr.size * (tr.size - 1)) if tr.size > 1 else 0.0),
     "sum_diversity": Measure(
-        "distances", lambda s, spec: (sum_diversity_from_dmatrix(s.dmatrix), {}),
+        "distances", lambda s, spec: (sum_diversity_from_dmatrix(s.dmatrix, s.offdiag), {}),
         lambda tr, spec: 2.0 * tr.pair_sum / (tr.size - 1) if tr.size > 1 else 0.0),
     "diameter": Measure(
-        "distances", lambda s, spec: (diameter_from_dmatrix(s.dmatrix), {}),
+        "distances", lambda s, spec: (diameter_from_dmatrix(s.dmatrix, s.offdiag), {}),
         lambda tr, spec: tr.max_dist if tr.size > 1 else 0.0),
     "sum_diameter": Measure(
         "distances", lambda s, spec: (sum_diameter_from_dmatrix(s.dmatrix), {}),
         lambda tr, spec: sum(tr.row_max.tolist()) if tr.size > 1 else 0.0),
     "bottleneck": Measure(
-        "distances", lambda s, spec: (bottleneck_from_dmatrix(s.dmatrix), {}),
+        "distances", lambda s, spec: (bottleneck_from_dmatrix(s.dmatrix, s.offdiag), {}),
         lambda tr, spec: tr.min_dist if tr.size > 1 else 0.0),
     "sum_bottleneck": Measure(
         "distances", lambda s, spec: (sum_bottleneck_from_dmatrix(s.dmatrix), {}),

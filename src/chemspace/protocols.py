@@ -19,7 +19,7 @@ import numpy as np
 from .circles import DEFAULT_RESTARTS, IncrementalPacking, greedy_pack_count
 from .errors import MeasureParamError, MissingFragmentsError, ProtocolError
 from .fingerprints import Dataset
-from .distances import TanimotoOracle
+from .distances import TanimotoOracle, gather_submatrix
 from .measures import (
     MEASURES,
     MeasureSpec,
@@ -175,7 +175,7 @@ def _fixed_selection(full: np.ndarray, subset: np.ndarray, readers: dict, seed: 
         restarts = int(spec.param("restarts", DEFAULT_RESTARTS))
         return float(greedy_pack_count(sel.dmatrix, float(spec.param("t")), restarts, seed)), {}
 
-    return Selection(subset, lambda: full[np.ix_(subset, subset)], pack, **readers)
+    return Selection(subset, lambda: gather_submatrix(full, subset), pack, **readers)
 
 
 def protocol_fixed(

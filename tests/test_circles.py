@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chemspace.circles import (
     IncrementalPacking,
@@ -232,3 +234,84 @@ def test_threshold_adjacency_matches_bit_loop(n):
         np.fill_diagonal(m, 0.0)
         for t in (0.0, 0.3, 0.5, 1.0):
             assert threshold_adjacency(m, t) == bit_loop_adjacency(m, t)
+
+
+def running_min_pass(dmatrix, t, order):
+    """Sphere exclusion kept as a float running minimum of each point's
+    distance to the centers so far (reference construction)."""
+    min_dist = np.full(dmatrix.shape[0], np.inf)
+    centers = []
+    for pos in order:
+        pos = int(pos)
+        if min_dist[pos] > t:
+            centers.append(pos)
+            np.minimum(min_dist, dmatrix[pos], out=min_dist)
+    return centers
+
+
+def recorded_passes(monkeypatch):
+    """Wrap ``circles.greedy_pack_positions``; each call appends its order,
+    read the way the benchmark's tracer reads it, and its centers."""
+    import chemspace.circles as circles
+
+    passes = []
+    original = circles.greedy_pack_positions
+
+    def recorder(*args, **kwargs):
+        centers = original(*args, **kwargs)
+        order = args[3] if len(args) > 3 else kwargs["order"]
+        passes.append((list(order), centers))
+        return centers
+
+    monkeypatch.setattr(circles, "greedy_pack_positions", recorder)
+    return passes
+
+
+@given(
+    n=st.sampled_from([0, 1, 2, 5, 63, 64, 65]) | st.integers(0, 80),
+    t=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+    restarts=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+@example(n=0, t=0.5, restarts=2, seed=0)
+@example(n=1, t=0.5, restarts=2, seed=1)
+@example(n=63, t=0.5, restarts=3, seed=2)
+@example(n=64, t=0.75, restarts=3, seed=3)
+@example(n=65, t=0.25, restarts=3, seed=4)
+def test_bitmask_pass_matches_running_minimum(n, t, restarts, seed):
+    # Distances on a quarter grid, so many lie exactly at t.
+    rng = np.random.default_rng(seed)
+    big = rng.integers(0, 5, size=(n + 3, n + 3)) / 4.0
+    big = np.minimum(big, big.T)
+    np.fill_diagonal(big, 0.0)
+    subset = rng.permutation(n + 3)[:n]
+    d = big[np.ix_(subset, subset)]
+    oracle = MatrixOracle(big, validate=False)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = recorded_passes(mp)
+        count = greedy_pack_count(d, t, restarts=restarts, seed=seed)
+        matrix_passes = list(passes)
+        passes.clear()
+        result = circles_greedy(subset, oracle, t, restarts=restarts, seed=seed)
+        oracle_passes = list(passes)
+    for caller_passes in (matrix_passes, oracle_passes):
+        assert len(caller_passes) == (restarts if n else 0)
+        for order, centers in caller_passes:
+            assert sorted(order) == list(range(n))
+            assert centers == running_min_pass(d, t, order)
+    best = max((c for _, c in matrix_passes), key=len, default=[])
+    assert count == len(best)
+    assert result.centers == tuple(int(subset[p]) for p in best)
+
+
+def test_every_pass_goes_through_the_module_function(monkeypatch):
+    rng = np.random.default_rng(13)
+    oracle = random_metric_oracle(rng, 30)
+    passes = recorded_passes(monkeypatch)
+    greedy_pack_count(oracle.submatrix(range(30)), 0.4, restarts=5, seed=2)
+    assert len(passes) == 5
+    circles_greedy(range(30), oracle, 0.4, restarts=3, seed=2)
+    assert len(passes) == 8
+    assert all(len(order) == 30 for order, _ in passes)
+    assert passes[0][0] == list(range(30)) == passes[5][0]

@@ -8,6 +8,7 @@ from chemspace.distances import (
     MatrixOracle,
     TanimotoOracle,
     build_oracle,
+    gather_submatrix,
     load_matrix,
     pairwise_tanimoto,
     tanimoto_from_row,
@@ -253,3 +254,15 @@ def test_build_oracle_dispatch(tmp_path):
     p2.write_text("0,0.5,0.5\n0.5,0,0.5\n0.5,0.5,0\n")
     with pytest.raises(MatrixValidationError, match="match"):
         build_oracle(ds, str(p2))
+
+
+@given(n=st.integers(1, 40), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_gather_submatrix_equals_two_axis_index(n, data):
+    matrix = np.random.default_rng(n).random((n, n))
+    idx = np.asarray(
+        data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)), dtype=np.int64
+    )
+    block = gather_submatrix(matrix, idx)
+    assert block.shape == (idx.size, idx.size)
+    assert block.tobytes() == matrix[np.ix_(idx, idx)].tobytes()

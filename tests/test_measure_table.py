@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from chemspace.axioms import World, world_measure
+from chemspace.axioms import World, random_world, world_measure
 from chemspace.cli import main
 from chemspace.distances import TanimotoOracle
 from chemspace.errors import MeasureParamError, MissingFragmentsError
-from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, write_dataset
+from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, load_dataset, write_dataset
 from chemspace.measures import (
     MEASURES,
     MeasureSpec,
@@ -17,6 +17,7 @@ from chemspace.measures import (
     parse_measure_spec,
 )
 from chemspace.protocols import (
+    DEFAULT_PROTOCOL_MEASURES,
     _fixed_selection,
     _GrowthTrackers,
     protocol_fixed,
@@ -220,3 +221,83 @@ def test_measure_refuses_large_exact_packing_before_any_work(tmp_path, capsys, m
     assert code == 1
     assert "exact packing refused for n=65 > cap 64" in captured.err
     assert captured.out == ""
+
+
+def _duplicated(ds: Dataset, unlabeled=()) -> Dataset:
+    """The records of ``ds`` with every third one repeated under a new id,
+    the labels of the ids in ``unlabeled`` dropped."""
+    records = []
+    for i in range(len(ds)):
+        fp = Fingerprint(ds.width, ds.words[i])
+        records.append(MoleculeRecord(ds.ids[i], fp, ds.labels[i]))
+        if i % 3 == 0:
+            records.append(MoleculeRecord(f"dup{i}", fp, ds.labels[(i + 7) % len(ds)]))
+    return Dataset(
+        MoleculeRecord(r.id, r.fp, None if r.id in unlabeled else r.label) for r in records
+    )
+
+
+def test_distinct_counts_equal_set_counts(annotated):
+    ds = _duplicated(annotated)
+    full = TanimotoOracle(ds).full_matrix()
+    readers = dataset_readers(ds)
+    assert len(set(map(ds.fingerprint_key, range(len(ds))))) < len(ds)
+    rng = np.random.default_rng(21)
+    for size in (1, 2, 5, 20, len(ds)):
+        subset = rng.choice(len(ds), size=size, replace=False)
+        keys = len({ds.fingerprint_key(i) for i in subset})
+        labels = len({ds.labels[i] for i in subset})
+        sel = _fixed_selection(full, subset, readers, 0)
+        assert evaluate_selection(MeasureSpec("richness"), sel).value == keys
+        assert evaluate_selection(MeasureSpec("gold_standard"), sel).value == labels
+        assert evaluate_measure(MeasureSpec("richness"), subset, dataset=ds).value == keys
+        assert evaluate_measure(MeasureSpec("gold_standard"), subset, dataset=ds).value == labels
+    for seed in range(20):
+        world = random_world(np.random.default_rng(seed), 12, dup_prob=0.5)
+        subset = sorted(np.random.default_rng(seed).choice(12, size=8, replace=False).tolist())
+        expected = len({world.keys[i] for i in subset})
+        assert world_measure(MeasureSpec("richness"), subset, world) == expected
+
+
+def test_key_codes_are_built_on_first_use(annotated, tmp_path):
+    path = tmp_path / "dups.tsv"
+    write_dataset(_duplicated(annotated), path)
+    ds = load_dataset(path)
+    assert "key_codes" not in vars(ds)
+    richness = evaluate_measure(MeasureSpec("richness"), range(len(ds)), dataset=ds).value
+    assert richness == len(set(ds.key_codes.tolist())) == len(annotated)
+
+
+def test_gold_standard_names_the_first_unlabeled_record(annotated, tmp_path, capsys):
+    name = annotated.ids[10]
+    ds = _duplicated(annotated, unlabeled={name, "dup3"})
+    subset = [0, ds.ids.index(name), ds.ids.index("dup3")]
+    with pytest.raises(MeasureParamError, match=f"^record '{name}' has no class label$"):
+        evaluate_measure(MeasureSpec("gold_standard"), subset, dataset=ds)
+    with pytest.raises(MeasureParamError, match="^record 'dup3' has no class label$"):
+        evaluate_measure(MeasureSpec("gold_standard"), subset[::-1], dataset=ds)
+    path = tmp_path / "unlabeled.tsv"
+    write_dataset(ds, path)
+    assert main(["measure", "--in", str(path), "--measures", "richness,gs"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "has no class label" in err and "Traceback" not in err
+
+
+def test_one_upper_triangle_per_selection(annotated, monkeypatch):
+    import chemspace.measures
+
+    calls = []
+    original = chemspace.measures._offdiag
+
+    def counted(dmatrix):
+        calls.append(dmatrix.shape)
+        return original(dmatrix)
+
+    monkeypatch.setattr(chemspace.measures, "_offdiag", counted)
+    full = TanimotoOracle(annotated).full_matrix()
+    subset = np.arange(0, len(annotated), 2)
+    sel = _fixed_selection(full, subset, dataset_readers(annotated), 0)
+    for spec in [*DEFAULT_PROTOCOL_MEASURES, "gold_standard"]:
+        evaluate_selection(parse_measure_spec(spec), sel)
+    assert calls == [(subset.size, subset.size)]
