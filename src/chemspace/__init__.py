@@ -23,12 +23,7 @@ from .circles import (
     circles_exact,
     circles_greedy,
 )
-from .distances import (
-    MatrixOracle,
-    TanimotoOracle,
-    build_oracle,
-    load_matrix,
-)
+from .distances import MatrixOracle, TanimotoOracle
 from .errors import ChemSpaceError
 from .fingerprints import (
     Dataset,
@@ -89,7 +84,6 @@ __all__ = [
     "SyntheticConfig",
     "TanimotoOracle",
     "bottleneck",
-    "build_oracle",
     "check_dissimilarity",
     "check_subadditivity",
     "circles_auto",
@@ -103,7 +97,6 @@ __all__ = [
     "evaluate_measure",
     "generate_synthetic",
     "load_dataset",
-    "load_matrix",
     "load_universe",
     "novelty_circles",
     "novelty_diversity",

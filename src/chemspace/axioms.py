@@ -7,7 +7,8 @@ replay applies the same violation test as the search that found it.
 
 Checks run on explicit-matrix worlds (random points embedded in the unit
 cube, distances scaled to [0, 1]) so that exact geodesic configurations can
-be constructed, which binary fingerprints cannot realize.
+be constructed, which binary fingerprints cannot realize. A world is its
+distance matrix, and ``world_measure`` reads it directly.
 
 A table runs one subadditivity search for all its measures: each random world
 is drawn once and tested against every measure still open. Each measure still
@@ -23,8 +24,8 @@ from typing import Any
 
 import numpy as np
 
-from .circles import circles_exact
-from .distances import MatrixOracle
+from .circles import max_independent_set, threshold_adjacency
+from .distances import gather_submatrix
 from .errors import AxiomCheckError
 from .measures import MEASURES, MeasureSpec, Selection, parse_measure_spec
 
@@ -60,14 +61,18 @@ DEFAULT_TABLE_SPECS: tuple[MeasureSpec, ...] = (
 
 @dataclass
 class World:
-    """A small explicit-metric universe the checks evaluate measures on."""
+    """A small explicit-metric universe the checks evaluate measures on.
+
+    ``matrix`` is kept as a float64 copy with its diagonal zeroed.
+    """
 
     matrix: np.ndarray
     keys: list[str]
     fragments: list[frozenset[str]]
 
     def __post_init__(self):
-        self.oracle = MatrixOracle(self.matrix, validate=False)
+        self.matrix = np.array(self.matrix, dtype=np.float64)
+        np.fill_diagonal(self.matrix, 0.0)
 
     @property
     def n(self) -> int:
@@ -89,7 +94,7 @@ class World:
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "World":
         return cls(
-            matrix=np.asarray(payload["matrix"], dtype=np.float64),
+            matrix=payload["matrix"],
             keys=list(payload["keys"]),
             fragments=[frozenset(f) for f in payload["fragments"]],
         )
@@ -101,12 +106,12 @@ def world_measure(spec: MeasureSpec, subset, world: World) -> float:
     idx = sorted(int(i) for i in set(subset))
     if not idx:
         return 0.0
-    oracle = world.oracle
 
     def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
-        return float(circles_exact(idx, oracle, t=float(spec.param("t"))).count), {}
+        adj = threshold_adjacency(sel.dmatrix, float(spec.param("t")))
+        return float(max_independent_set(adj)[0]), {}
 
-    sel = Selection(idx, lambda: oracle.submatrix(idx), pack,
+    sel = Selection(idx, lambda: gather_submatrix(world.matrix, np.array(idx)), pack,
                     key_codes=lambda i: world.key_codes[i], fragments=world.fragments.__getitem__)
     return MEASURES[spec.kind].batch(sel, spec)[0]
 

@@ -15,24 +15,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeasureSizeError
+from .errors import MeasureParamError, MeasureSizeError
 
 DEFAULT_EXACT_CAP = 64
 DEFAULT_RESTARTS = 8
 EXACT_CAP_ENV = "CHEMSPACE_EXACT_CAP"
 
 
-def resolve_exact_cap(explicit: int | None = None) -> int:
-    """Exact-solver size cap: explicit argument, else env override, else 64."""
-    if explicit is not None:
-        return int(explicit)
+def resolve_exact_cap() -> int:
+    """Exact-solver size cap: the env override, else 64."""
     env = os.environ.get(EXACT_CAP_ENV)
-    return int(env) if env else DEFAULT_EXACT_CAP
+    if not env:
+        return DEFAULT_EXACT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise MeasureParamError(f"{EXACT_CAP_ENV} must be a non-negative integer, got {env!r}")
+    return cap
 
 
-def refuse_exact_over_cap(size: int, exact_cap: int | None = None) -> None:
+def refuse_exact_over_cap(size: int) -> None:
     """Refuse an exact solve on more points than the exact-solver cap."""
-    cap = resolve_exact_cap(exact_cap)
+    cap = resolve_exact_cap()
     if size > cap:
         raise MeasureSizeError(
             f"exact packing refused for n={size} > cap {cap}; use greedy mode "
@@ -134,12 +140,10 @@ def max_independent_set(adj: list[int]) -> tuple[int, int]:
     return best_size, best_mask
 
 
-def circles_exact(
-    subset, oracle, t: float, exact_cap: int | None = None
-) -> PackingResult:
+def circles_exact(subset, oracle, t: float) -> PackingResult:
     """Optimal packing count via branch-and-bound maximum independent set."""
     idx = np.asarray(list(subset), dtype=np.int64)
-    refuse_exact_over_cap(idx.size, exact_cap)
+    refuse_exact_over_cap(idx.size)
     if idx.size == 0:
         return PackingResult(count=0, centers=(), t=t, mode="exact", optimal=True)
     adj = threshold_adjacency(oracle.submatrix(idx), t)
@@ -227,16 +231,15 @@ def circles_auto(
     mode: str = "auto",
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    exact_cap: int | None = None,
 ) -> PackingResult:
     """Dispatch to the exact solver under the size cap, greedy above it.
 
     This is the one place that chooses between the two for a spec's mode.
     """
     idx = np.asarray(list(subset), dtype=np.int64)
-    cap = resolve_exact_cap(exact_cap)
+    cap = resolve_exact_cap()
     if mode == "exact" or (mode != "greedy" and idx.size <= cap):
-        return circles_exact(idx, oracle, t, exact_cap=cap)
+        return circles_exact(idx, oracle, t)
     return circles_greedy(idx, oracle, t, restarts=restarts, seed=seed)
 
 

@@ -1,17 +1,14 @@
 """Pairwise distance oracles: fingerprint-backed Tanimoto and explicit matrices.
 
-Both oracle flavors answer ``distance(i, j)``, row and submatrix queries over
-a fixed point set. They are read-only after construction and safe to query
-from multiple workers.
+Both oracle flavors answer row and submatrix queries over a fixed point set,
+and are read-only after construction.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .errors import DatasetFormatError, MatrixValidationError
+from .errors import MatrixValidationError
 from .fingerprints import Dataset
 
 TRIANGLE_TOL = 1e-9
@@ -94,17 +91,6 @@ class TanimotoOracle:
         self._pops = dataset.popcounts
         self._full: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return self._words.shape[0]
-
-    def distance(self, i: int, j: int) -> float:
-        inter = int(np.bitwise_count(self._words[i] & self._words[j]).sum())
-        union = int(self._pops[i]) + int(self._pops[j]) - inter
-        if union == 0:
-            return 0.0
-        return 1.0 - inter / union
-
     def row(self, i: int, targets: np.ndarray | None = None) -> np.ndarray:
         targets = None if targets is None else np.asarray(targets, dtype=np.int64)
         return tanimoto_row(self._words, self._pops, i, targets)
@@ -127,25 +113,18 @@ class TanimotoOracle:
 class MatrixOracle:
     """Distance oracle backed by an explicit symmetric matrix in [0, 1]."""
 
-    def __init__(self, matrix: np.ndarray, validate: bool = True, tol: float = TRIANGLE_TOL):
+    def __init__(self, matrix: np.ndarray, validate: bool = True):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise MatrixValidationError(f"matrix must be square, got shape {matrix.shape}")
         if matrix.shape[0] == 0:
             raise MatrixValidationError("matrix must be nonempty")
         if validate:
-            _validate_metric(matrix, tol)
+            _validate_metric(matrix)
         matrix = matrix.copy()
         np.fill_diagonal(matrix, 0.0)
         matrix.setflags(write=False)
         self._matrix = matrix
-
-    @property
-    def n(self) -> int:
-        return self._matrix.shape[0]
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self._matrix[i, j])
 
     def row(self, i: int, targets: np.ndarray | None = None) -> np.ndarray:
         if targets is None:
@@ -163,30 +142,30 @@ class MatrixOracle:
 DistanceOracle = TanimotoOracle | MatrixOracle
 
 
-def _validate_metric(matrix: np.ndarray, tol: float) -> None:
+def _validate_metric(matrix: np.ndarray) -> None:
     n = matrix.shape[0]
     if not np.isfinite(matrix).all():
         raise MatrixValidationError("matrix contains non-finite entries")
-    bad = np.argwhere((matrix < -tol) | (matrix > 1.0 + tol))
+    bad = np.argwhere((matrix < -TRIANGLE_TOL) | (matrix > 1.0 + TRIANGLE_TOL))
     if bad.size:
         i, j = map(int, bad[0])
         raise MatrixValidationError(
             f"distance out of [0,1] at ({i},{j}): {matrix[i, j]}", indices=(i, j)
         )
     diag = np.abs(np.diag(matrix))
-    if (diag > tol).any():
-        i = int(np.argmax(diag > tol))
+    if (diag > TRIANGLE_TOL).any():
+        i = int(np.argmax(diag > TRIANGLE_TOL))
         raise MatrixValidationError(f"nonzero diagonal at ({i},{i}): {matrix[i, i]}", indices=(i, i))
     asym = np.abs(matrix - matrix.T)
-    if (asym > tol).any():
-        i, j = map(int, np.argwhere(asym > tol)[0])
+    if (asym > TRIANGLE_TOL).any():
+        i, j = map(int, np.argwhere(asym > TRIANGLE_TOL)[0])
         raise MatrixValidationError(
             f"asymmetric entries at ({i},{j}): {matrix[i, j]} vs {matrix[j, i]}", indices=(i, j)
         )
     # Triangle inequality: d(i,k) <= d(i,via) + d(via,k) for every via.
     for via in range(n):
         slack = matrix - (matrix[:, via][:, None] + matrix[via][None, :])
-        viol = np.argwhere(slack > tol)
+        viol = np.argwhere(slack > TRIANGLE_TOL)
         if viol.size:
             i, k = map(int, viol[0])
             raise MatrixValidationError(
@@ -196,26 +175,3 @@ def _validate_metric(matrix: np.ndarray, tol: float) -> None:
                 indices=(i, via, k),
             )
 
-
-def load_matrix(path: str | Path, tol: float = TRIANGLE_TOL) -> MatrixOracle:
-    """Load an explicit distance matrix from CSV (n rows of n reals)."""
-    path = Path(path)
-    try:
-        matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: cannot parse matrix CSV: {exc}") from exc
-    return MatrixOracle(matrix, validate=True, tol=tol)
-
-
-def build_oracle(dataset: Dataset | None, metric: str = "tanimoto") -> DistanceOracle:
-    """Build an oracle: ``metric`` is ``"tanimoto"`` or a path to a matrix CSV."""
-    if metric == "tanimoto":
-        if dataset is None or len(dataset) == 0:
-            raise ValueError("tanimoto oracle requires a nonempty dataset")
-        return TanimotoOracle(dataset)
-    oracle = load_matrix(metric)
-    if dataset is not None and len(dataset) != oracle.n:
-        raise MatrixValidationError(
-            f"matrix size {oracle.n} does not match dataset size {len(dataset)}"
-        )
-    return oracle

@@ -177,9 +177,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def fingerprint_key(self, i: int) -> bytes:
-        return self.words[i].tobytes()
-
     @functools.cached_property
     def key_codes(self) -> np.ndarray:
         """Per record, a code that records share exactly when their

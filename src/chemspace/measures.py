@@ -287,9 +287,7 @@ def dataset_readers(dataset: Dataset) -> dict[str, Callable[[Any], Any]]:
     return {"key_codes": key_codes, "label_codes": label_codes, "fragments": fragments}
 
 
-def dataset_selection(
-    subset, dataset: Dataset | None = None, oracle=None, exact_cap: int | None = None
-) -> Selection:
+def dataset_selection(subset, dataset: Dataset | None = None, oracle=None) -> Selection:
     """Selection of dataset records. Circles follows the spec's mode, and
     ``circles_auto`` applies the exact cap."""
     idx = _as_indices(subset)
@@ -302,7 +300,6 @@ def dataset_selection(
             mode=str(spec.param("mode", "auto")),
             restarts=int(spec.param("restarts", DEFAULT_RESTARTS)),
             seed=int(spec.param("seed", 0)),
-            exact_cap=exact_cap,
         )
         return float(packing.count), {"mode": packing.mode, "optimal": packing.optimal}
 
@@ -400,13 +397,12 @@ def evaluate_measure(
     subset,
     dataset: Dataset | None = None,
     oracle=None,
-    exact_cap: int | None = None,
 ) -> MeasureResult:
     """Evaluate one measure spec on a molecule set.
 
     ``oracle`` is required for distance-based kinds and circles; ``dataset``
     for richness, coverage, and the gold standard. Circles follows the spec's
-    mode; ``exact_cap`` defaults to ``CHEMSPACE_EXACT_CAP`` or 64.
+    mode; auto is exact up to ``CHEMSPACE_EXACT_CAP`` (default 64) points.
     """
     validate_spec(spec)
     if MEASURES[spec.kind].reads == "distances":
@@ -414,7 +410,7 @@ def evaluate_measure(
             raise MeasureParamError(f"{spec.kind} requires a distance oracle")
     elif dataset is None:
         raise MeasureParamError(f"{spec.kind} requires a dataset")
-    return evaluate_selection(spec, dataset_selection(subset, dataset, oracle, exact_cap))
+    return evaluate_selection(spec, dataset_selection(subset, dataset, oracle))
 
 
 # ---------------------------------------------------------------------------

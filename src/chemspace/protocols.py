@@ -270,8 +270,8 @@ class _GrowthTrackers:
         self.min_dist = np.inf
         self.row_max = np.empty(0)  # per member: farthest other member so far
         self.row_min = np.empty(0)  # per member: nearest other member so far
-        self.keys: set[bytes] = set()
-        self.labels: set[str] = set()
+        self.keys: set[int] = set()  # fingerprint codes
+        self.labels: set[int] = set()  # label codes
         self.frag_union: set[str] = set()
         self.packers = {
             spec.key(): IncrementalPacking(float(spec.param("t")))
@@ -315,7 +315,7 @@ class _GrowthTrackers:
             return 0.0
         return float(np.exp(self.logdet))
 
-    def add(self, dists: np.ndarray, key: bytes, label: str, fragments) -> dict[str, float]:
+    def add(self, dists: np.ndarray, key: int, label: int, fragments) -> dict[str, float]:
         if fragments is None and self._needs_fragments:
             raise MissingFragmentsError(
                 f"the record added at step {self.size + 1} has no fragment annotations"
@@ -406,6 +406,7 @@ def protocol_growing(
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
     full = TanimotoOracle(dataset).full_matrix()
+    key_codes, label_codes = dataset.key_codes.tolist(), dataset.label_codes.tolist()
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
 
     def one_run(run_idx: int) -> tuple[CurveSeries, dict[str, float]]:
@@ -419,9 +420,7 @@ def protocol_growing(
         for step, idx in enumerate(order):
             idx = int(idx)
             dists = full[idx, order[:step]]
-            values = trackers.add(
-                dists, dataset.fingerprint_key(idx), dataset.labels[idx], dataset.fragments[idx]
-            )
+            values = trackers.add(dists, key_codes[idx], label_codes[idx], dataset.fragments[idx])
             for key, val in values.items():
                 series[key][step] = val
         # First differences, the step-1 value kept as-is (v[0] - 0.0 == v[0]).

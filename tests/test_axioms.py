@@ -6,6 +6,7 @@ from chemspace.axioms import (
     DEFAULT_TABLE_SPECS,
     EXPECTED_CLASSIFICATION,
     GeodesicConfig,
+    World,
     check_dissimilarity,
     check_subadditivity,
     quadrant_table,
@@ -280,3 +281,19 @@ def test_table_draws_each_random_world_once(monkeypatch):
         sizes.clear()
         quadrant_table(trials=trials, seed=0)
         assert len(sizes) == trials - 1
+
+
+def test_world_zeroes_a_nonzero_diagonal():
+    world = random_world(np.random.default_rng(4), 7, dup_prob=0.3)
+    payload = world.to_payload()
+    for i, row in enumerate(payload["matrix"]):
+        row[i] = 0.4 + 0.05 * i
+    dirty = World.from_payload(payload)
+    assert (np.diag(dirty.matrix) == 0.0).all()
+    assert dirty.matrix.tobytes() == world.matrix.tobytes()
+    for mask in range(1, 1 << world.n):
+        subset = [i for i in range(world.n) if mask >> i & 1]
+        for spec in DEFAULT_TABLE_SPECS:
+            assert world_measure(spec, subset, dirty) == world_measure(spec, subset, world), (
+                spec.key(), subset,
+            )

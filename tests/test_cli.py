@@ -282,6 +282,15 @@ def test_user_errors_exit_with_one_line(case, synthetic_tsv, tmp_path, capsys):
     assert names in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cap", ["abc", "-5"])
+def test_malformed_exact_cap_env_exits_with_one_line(cap, synthetic_tsv, monkeypatch, capsys):
+    monkeypatch.setenv("CHEMSPACE_EXACT_CAP", cap)
+    assert run_cli(["measure", "--in", synthetic_tsv, "--measures", "circles:t=0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"CHEMSPACE_EXACT_CAP must be a non-negative integer, got {cap!r}" in err
+
+
 def test_sweep_with_empty_threshold_grid_refused(synthetic_tsv, capsys):
     code = run_cli(["sweep-t", "--in", synthetic_tsv, "--n", "10", "--runs", "1", "--t-grid", ","])
     assert code == 1
@@ -362,6 +371,21 @@ def test_cli_import_loads_no_scipy():
     env_src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-c", "import sys, chemspace.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_exports_resolve():
+    import chemspace
+
+    for name in chemspace.__all__:
+        assert getattr(chemspace, name) is not None, name
+    env_src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", "from chemspace import *"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},

@@ -7,9 +7,7 @@ from chemspace import distances
 from chemspace.distances import (
     MatrixOracle,
     TanimotoOracle,
-    build_oracle,
     gather_submatrix,
-    load_matrix,
     pairwise_tanimoto,
     tanimoto_from_row,
 )
@@ -108,17 +106,18 @@ def test_oracle_purity_bit_identical():
     for _ in range(3):
         again = oracle.submatrix(range(20))
         assert (first == again).all()
-    assert oracle.distance(3, 11) == first[3, 11]
+    assert oracle.row(3)[11] == first[3, 11]
 
 
 def test_pairwise_matches_scalar_kernel():
     rng = np.random.default_rng(3)
-    ds = make_dataset((rng.random((40, 100)) < 0.2).astype(np.uint8))
+    bits = (rng.random((40, 100)) < 0.2).astype(np.uint8)
+    ds = make_dataset(bits)
     oracle = TanimotoOracle(ds)
     full = pairwise_tanimoto(ds.words, ds.popcounts, block_rows=7)
     for i in range(0, 40, 5):
         for j in range(0, 40, 7):
-            assert full[i, j] == oracle.distance(i, j)
+            assert full[i, j] == tanimoto_distance(fp(bits[i]), fp(bits[j]))
     row = oracle.row(5)
     assert (row == full[5]).all()
 
@@ -201,8 +200,8 @@ def test_full_matrix_cache_consistency():
 
 def test_matrix_oracle_lookup():
     oracle = MatrixOracle(np.array([[0.0, 0.5], [0.5, 0.0]]))
-    assert oracle.distance(0, 1) == 0.5
-    assert oracle.distance(1, 1) == 0.0
+    assert oracle.row(0)[1] == 0.5
+    assert oracle.row(1)[1] == 0.0
 
 
 def test_matrix_oracle_triangle_violation_names_triple():
@@ -234,26 +233,6 @@ def test_matrix_oracle_rejects_out_of_range():
     m = np.array([[0.0, 1.2], [1.2, 0.0]])
     with pytest.raises(MatrixValidationError, match="out of"):
         MatrixOracle(m)
-
-
-def test_load_matrix_csv(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("0,0.5\n0.5,0\n")
-    oracle = load_matrix(p)
-    assert oracle.n == 2
-    assert oracle.distance(0, 1) == 0.5
-
-
-def test_build_oracle_dispatch(tmp_path):
-    ds = make_dataset([[1, 0], [0, 1]])
-    assert isinstance(build_oracle(ds, "tanimoto"), TanimotoOracle)
-    p = tmp_path / "d.csv"
-    p.write_text("0,0.5\n0.5,0\n")
-    assert isinstance(build_oracle(ds, str(p)), MatrixOracle)
-    p2 = tmp_path / "d3.csv"
-    p2.write_text("0,0.5,0.5\n0.5,0,0.5\n0.5,0.5,0\n")
-    with pytest.raises(MatrixValidationError, match="match"):
-        build_oracle(ds, str(p2))
 
 
 @given(n=st.integers(1, 40), data=st.data())

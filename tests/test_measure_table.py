@@ -51,7 +51,7 @@ def test_every_kind_agrees_across_entry_points(annotated):
     full = TanimotoOracle(ds).full_matrix()
     world = World(
         matrix=full,
-        keys=[ds.fingerprint_key(i) for i in range(len(ds))],
+        keys=[ds.words[i].tobytes() for i in range(len(ds))],
         fragments=list(ds.fragments),
     )
     readers = dataset_readers(ds)
@@ -76,7 +76,7 @@ def test_every_kind_agrees_across_entry_points(annotated):
         )
         for step, i in enumerate(subset):
             grown = trackers.add(
-                full[i, subset[:step]], ds.fingerprint_key(i), ds.labels[i], ds.fragments[i]
+                full[i, subset[:step]], ds.key_codes[i], ds.label_codes[i], ds.fragments[i]
             )
 
         for spec in shared:
@@ -130,7 +130,7 @@ def test_growing_coverage_intersects_universe():
     trackers = _GrowthTrackers([spec])
     for step in range(4):
         value = trackers.add(
-            full[step, :step], ds.fingerprint_key(step), ds.labels[step], ds.fragments[step]
+            full[step, :step], ds.key_codes[step], ds.label_codes[step], ds.fragments[step]
         )
     assert value[spec.key()] == 2.0
     assert evaluate_measure(spec, range(4), dataset=ds).value == 2.0
@@ -241,11 +241,11 @@ def test_distinct_counts_equal_set_counts(annotated):
     ds = _duplicated(annotated)
     full = TanimotoOracle(ds).full_matrix()
     readers = dataset_readers(ds)
-    assert len(set(map(ds.fingerprint_key, range(len(ds))))) < len(ds)
+    assert len({row.tobytes() for row in ds.words}) < len(ds)
     rng = np.random.default_rng(21)
     for size in (1, 2, 5, 20, len(ds)):
         subset = rng.choice(len(ds), size=size, replace=False)
-        keys = len({ds.fingerprint_key(i) for i in subset})
+        keys = len({ds.words[i].tobytes() for i in subset})
         labels = len({ds.labels[i] for i in subset})
         sel = _fixed_selection(full, subset, readers, 0)
         assert evaluate_selection(MeasureSpec("richness"), sel).value == keys

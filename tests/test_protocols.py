@@ -123,7 +123,7 @@ def test_growth_trackers_match_direct_measures(small_dataset):
     for step, idx in enumerate(order):
         idx = int(idx)
         values = trackers.add(
-            full[idx, order[:step]], ds.fingerprint_key(idx), ds.labels[idx], ds.fragments[idx]
+            full[idx, order[:step]], ds.key_codes[idx], ds.label_codes[idx], ds.fragments[idx]
         )
         prefix = [int(i) for i in order[: step + 1]]
         for kind, fn in direct_fns.items():
@@ -151,7 +151,7 @@ def test_growth_tracker_dpp_freezes_on_duplicates():
     full = TanimotoOracle(ds).full_matrix()
     order = [0, 1, 2]
     vals = [
-        trackers.add(full[i, order[:k]], ds.fingerprint_key(i), ds.labels[i], None)["dpp"]
+        trackers.add(full[i, order[:k]], ds.key_codes[i], ds.label_codes[i], None)["dpp"]
         for k, i in enumerate(order)
     ]
     assert vals == [0.0, 0.0, 0.0]  # singleton, exact duplicate, frozen
@@ -165,8 +165,8 @@ def test_growth_tracker_sums_add_members_in_arrival_order(small_dataset):
     trackers = _GrowthTrackers([MeasureSpec("sum_diameter"), MeasureSpec("sum_bottleneck")])
     for step, idx in enumerate(order):
         values = trackers.add(
-            full[idx, order[:step]], small_dataset.fingerprint_key(idx),
-            small_dataset.labels[idx], None,
+            full[idx, order[:step]], small_dataset.key_codes[idx],
+            small_dataset.label_codes[idx], None,
         )
         if step == 0:
             continue
