@@ -197,7 +197,10 @@ def circles_greedy(
 ) -> PackingResult:
     """Best-of-k greedy sphere exclusion over oracle rows.
 
-    Only center rows are ever materialized, so this scales to large sets.
+    Only the rows of centers are read. A Tanimoto oracle computes each with
+    the popcount kernel, so memory stays O(centers * n), unless it has cached
+    its full matrix (``measure`` builds it when another distance measure needs
+    it); then the rows are read from that matrix, bit for bit the same.
     """
     idx = np.asarray(list(subset), dtype=np.int64)
     if idx.size == 0:

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -27,6 +28,7 @@ from .distances import TanimotoOracle
 from .errors import ChemSpaceError, DatasetFormatError, MeasureParamError, ProtocolError
 from .fingerprints import Fingerprint, load_dataset, write_dataset
 from .measures import (
+    MEASURES,
     MeasureSpec,
     Selection,
     dataset_selection,
@@ -143,11 +145,23 @@ def _parse_measures(text: str) -> list[MeasureSpec]:
 
 def _checked(specs: list[MeasureSpec], dataset) -> Selection:
     """Check every spec against the dataset size before any work, then return
-    the selection of all its records that the specs share."""
+    the selection of all its records that the specs share.
+
+    Every distance kind but circles reads the whole n x n matrix, so when one
+    is listed the matrix is built here, before the first measure runs. It is
+    then the selection's ``dmatrix`` and the source of every packing row;
+    circles alone reads only the rows of its centers.
+    """
     for spec in specs:
         validate_spec(spec, size=len(dataset))
-    oracle = TanimotoOracle(dataset) if len(dataset) else None
-    return dataset_selection(np.arange(len(dataset)), dataset, oracle)
+    if not len(dataset):
+        return dataset_selection([], dataset)
+    oracle = TanimotoOracle(dataset)
+    if any(MEASURES[s.kind].reads == "distances" and s.kind != "circles" for s in specs):
+        oracle.full_matrix()
+    # Every record in order: the selection's submatrix is the full matrix itself.
+    sel = dataset_selection(np.arange(len(dataset)), dataset, oracle)
+    return replace(sel, submatrix=oracle.full_matrix)
 
 
 def cmd_measure(args) -> int:

@@ -1,7 +1,10 @@
 """Pairwise distance oracles: fingerprint-backed Tanimoto and explicit matrices.
 
 Both oracle flavors answer row and submatrix queries over a fixed point set,
-and are read-only after construction.
+and are read-only after construction. A Tanimoto oracle computes each query
+with the popcount kernels until ``full_matrix()`` has built and cached the
+whole matrix; from then on it answers rows and submatrices from that matrix,
+whose rows equal the kernel rows bit for bit.
 """
 
 from __future__ import annotations
@@ -81,6 +84,14 @@ def gather_submatrix(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)
 
 
+def _matrix_row(matrix: np.ndarray, i: int, targets=None) -> np.ndarray:
+    """Row ``i`` of a read-only matrix (restricted to ``targets``) as a fresh,
+    writable array."""
+    if targets is None:
+        return matrix[i].copy()
+    return matrix[i, np.asarray(targets, dtype=np.int64)]
+
+
 class TanimotoOracle:
     """Lazy Tanimoto distance oracle over a fingerprint dataset."""
 
@@ -92,6 +103,8 @@ class TanimotoOracle:
         self._full: np.ndarray | None = None
 
     def row(self, i: int, targets: np.ndarray | None = None) -> np.ndarray:
+        if self._full is not None:
+            return _matrix_row(self._full, i, targets)
         targets = None if targets is None else np.asarray(targets, dtype=np.int64)
         return tanimoto_row(self._words, self._pops, i, targets)
 
@@ -127,9 +140,7 @@ class MatrixOracle:
         self._matrix = matrix
 
     def row(self, i: int, targets: np.ndarray | None = None) -> np.ndarray:
-        if targets is None:
-            return self._matrix[i].copy()
-        return self._matrix[i, np.asarray(targets, dtype=np.int64)]
+        return _matrix_row(self._matrix, i, targets)
 
     def submatrix(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)

@@ -93,10 +93,12 @@ def parse_measure_spec(text: str) -> MeasureSpec:
         for item in rest.split(","):
             if not item.strip():
                 continue
-            key, sep, value = item.partition("=")
-            if not sep:
+            key, sep, value = (part.strip() for part in item.partition("="))
+            if not sep or not value:
                 raise MeasureParamError(f"bad parameter {item!r} in measure spec {text!r}")
-            params[key.strip()] = _coerce_param(value.strip())
+            if key in params:
+                raise MeasureParamError(f"parameter {key!r} given twice in measure spec {text!r}")
+            params[key] = _coerce_param(value)
     spec = MeasureSpec(kind=name, params=params)
     validate_spec(spec)
     return spec
@@ -142,15 +144,16 @@ def _refuse_large_dpp(size: int | None) -> None:
 # Kernels over a pairwise distance submatrix (square, zero diagonal).
 
 @functools.lru_cache(maxsize=16)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n, k=1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+def _upper_mask(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _offdiag(dmatrix: np.ndarray) -> np.ndarray:
-    return dmatrix[_upper_pairs(dmatrix.shape[0])]
+    # A boolean mask selects in row-major order, the order of np.triu_indices,
+    # at a fraction of the cost and an eighth of the memory of an index pair.
+    return dmatrix[_upper_mask(dmatrix.shape[0])]
 
 
 # Kernels that read the pairs above the diagonal take them as ``offdiag``,

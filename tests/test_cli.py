@@ -18,6 +18,15 @@ def synthetic_tsv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def greedy_tsv(tmp_path_factory):
+    """100 records: above the exact cap of 64, so circles packs greedily."""
+    path = tmp_path_factory.mktemp("data") / "greedy.tsv"
+    ds = generate_synthetic(SyntheticConfig(classes=10, per_class=10, width=64, core_bits=12), seed=1)
+    write_dataset(ds, path)
+    return path
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -93,6 +102,50 @@ def test_compare_matrix_and_determinism(synthetic_tsv, tmp_path):
     # Identical dataset passed twice: identical rows.
     first = [r for r in doc["results"] if r["dataset"] == rich_rows[0]["dataset"]]
     assert first[:3] == doc["results"][3:]
+
+
+def _count_distance_calls(monkeypatch):
+    import chemspace.distances
+
+    calls = {"pairwise_tanimoto": 0, "tanimoto_row": 0}
+    for name in calls:
+        original = getattr(chemspace.distances, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(chemspace.distances, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "measures, matrix_built",
+    [("diversity,circles:t=0.6", True), ("circles:t=0.6,sum_bottleneck", True), ("circles:t=0.6", False)],
+)
+def test_one_distance_source_per_measure_call(measures, matrix_built, greedy_tsv, tmp_path, monkeypatch):
+    calls = _count_distance_calls(monkeypatch)
+    assert run_cli(["measure", "--in", greedy_tsv, "--measures", measures, "--out", tmp_path / "m.json"]) == 0
+    assert calls["pairwise_tanimoto"] == int(matrix_built)
+    assert (calls["tanimoto_row"] == 0) == matrix_built
+
+
+def _circles_rows(doc):
+    return [strip_volatile(r) for r in doc["results"] if r["measure"].startswith("circles:")]
+
+
+@pytest.mark.parametrize("data", ["synthetic_tsv", "greedy_tsv"])
+def test_circles_rows_same_alone_or_beside_diversity(data, request, tmp_path):
+    path = request.getfixturevalue(data)
+    docs = {}
+    for measures in ("circles:t=0.6", "diversity,circles:t=0.6"):
+        for command in (["measure"], ["compare", "--repeats", "3"]):
+            out = tmp_path / f"{command[0]}-{len(docs)}.json"
+            assert run_cli([*command, "--in", path, "--measures", measures, "--out", out]) == 0
+            docs[measures, command[0]] = _circles_rows(read_json(out))
+    for command in ("measure", "compare"):
+        alone, beside = docs["circles:t=0.6", command], docs["diversity,circles:t=0.6", command]
+        assert len(alone) == 1 and alone == beside
 
 
 def test_axiom_check_json_and_exit_code(tmp_path):
@@ -255,6 +308,8 @@ ONE_LINE_ERRORS = {
     "compare-repeats-0": ("compare --in {data} --measures richness --repeats 0", "repeats"),
     "sweep-empty-tsv": ("sweep-t --in {tmp}/empty.tsv --n 10 --runs 1", "subset size n=10 not in [1, 0]"),
     "sweep-t-grid-not-numbers": ("sweep-t --in {data} --t-grid a,b", "--t-grid"),
+    "measure-param-given-twice": ("measure --in {data} --measures circles:t=0.5,t=0.6", "'t' given twice"),
+    "measure-param-without-value": ("measure --in {data} --measures coverage:universe=", "bad parameter 'universe='"),
     "measure-directory-input": ("measure --in {tmp} --measures richness", "Is a directory"),
     "measure-non-utf8-input": ("measure --in {tmp}/latin1.tsv --measures richness", "latin1.tsv: not UTF-8"),
     "measure-non-utf8-universe": (

@@ -198,6 +198,23 @@ def test_full_matrix_cache_consistency():
     assert (oracle.submatrix([2, 9, 14]) == direct).all()
 
 
+@pytest.mark.parametrize("targets", [None, [7, 0, 3, 14, 12]])
+def test_row_bytes_equal_before_and_after_full_matrix(targets):
+    rng = np.random.default_rng(6)
+    bits = (rng.random((15, 40)) < 0.4).astype(np.uint8)
+    bits[12] = 0  # an empty fingerprint: distance 0 to itself, 1 to the rest
+    oracle = TanimotoOracle(make_dataset(bits))
+    before = [oracle.row(i, targets) for i in range(15)]
+    full = oracle.full_matrix()
+    after = [oracle.row(i, targets) for i in range(15)]
+    assert [r.tobytes() for r in after] == [r.tobytes() for r in before]
+    if targets is None:
+        row = oracle.row(3)
+        assert row.flags.writeable and not np.shares_memory(row, full)
+        row[:] = 2.0
+        assert oracle.row(3).tobytes() == before[3].tobytes()
+
+
 def test_matrix_oracle_lookup():
     oracle = MatrixOracle(np.array([[0.0, 0.5], [0.5, 0.0]]))
     assert oracle.row(0)[1] == 0.5

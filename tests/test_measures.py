@@ -6,6 +6,7 @@ from chemspace.errors import MeasureParamError, MeasureSizeError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
 from chemspace.measures import (
     MeasureSpec,
+    _offdiag,
     bottleneck,
     diameter,
     diversity,
@@ -198,6 +199,15 @@ def test_repeated_indices_rejected():
     oracle = MatrixOracle(np.array([[0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="repeat"):
         diversity([0, 0], oracle)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 200])
+def test_offdiag_bytes_equal_triu_indices(n):
+    dmatrix = np.random.default_rng(n).random((n, n))
+    expected = dmatrix[np.triu_indices(n, 1)]
+    got = _offdiag(dmatrix)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_parse_measure_spec_grammar():
