@@ -195,40 +195,45 @@ def cmd_measure(args) -> int:
     return 0
 
 
+def _compare_rows(ds_path, specs: list[MeasureSpec], args) -> list[dict[str, Any]]:
+    """The rows of one ``compare`` input. Its dataset and selection live only
+    in this call, so they are freed before the next input is loaded."""
+    sel = _checked(specs, load_dataset(ds_path))
+    rows = []
+    for spec in specs:
+
+        def seeded(rep: int) -> MeasureSpec:
+            if spec.kind != "circles":
+                return spec
+            return MeasureSpec("circles", {**spec.params, "seed": args.seed + rep})
+
+        first = evaluate_selection(seeded(0), sel)
+        # Only a greedy packing depends on the seed; circles_auto chose the mode.
+        stochastic = first.metadata.get("mode") == "greedy"
+        reps = range(1, args.repeats if stochastic else 1)
+        values = [first.value] + [evaluate_selection(seeded(rep), sel).value for rep in reps]
+        mean = float(np.mean(values))
+        rel_dev = 0.0
+        if stochastic and mean != 0.0 and len(values) > 1:
+            rel_dev = float(np.std(values, ddof=1) / abs(mean) * 100.0)
+        rows.append(
+            {
+                "dataset": str(ds_path),
+                "measure": spec.key(),
+                "mean": mean,
+                "rel_dev_pct": rel_dev,
+                "values": values,
+                "stochastic": stochastic,
+            }
+        )
+    return rows
+
+
 def cmd_compare(args) -> int:
     if args.repeats < 1:
         raise MeasureParamError(f"repeats must be at least 1, got {args.repeats}")
     specs = _parse_measures(args.measures)
-    rows = []
-    for ds_path in args.inputs:
-        dataset = load_dataset(ds_path)
-        sel = _checked(specs, dataset)
-        for spec in specs:
-
-            def seeded(rep: int) -> MeasureSpec:
-                if spec.kind != "circles":
-                    return spec
-                return MeasureSpec("circles", {**spec.params, "seed": args.seed + rep})
-
-            first = evaluate_selection(seeded(0), sel)
-            # Only a greedy packing depends on the seed; circles_auto chose the mode.
-            stochastic = first.metadata.get("mode") == "greedy"
-            reps = range(1, args.repeats if stochastic else 1)
-            values = [first.value] + [evaluate_selection(seeded(rep), sel).value for rep in reps]
-            mean = float(np.mean(values))
-            rel_dev = 0.0
-            if stochastic and mean != 0.0 and len(values) > 1:
-                rel_dev = float(np.std(values, ddof=1) / abs(mean) * 100.0)
-            rows.append(
-                {
-                    "dataset": str(ds_path),
-                    "measure": spec.key(),
-                    "mean": mean,
-                    "rel_dev_pct": rel_dev,
-                    "values": values,
-                    "stochastic": stochastic,
-                }
-            )
+    rows = [row for ds_path in args.inputs for row in _compare_rows(ds_path, specs, args)]
     config = {
         "inputs": [str(p) for p in args.inputs],
         "measures": args.measures,

@@ -257,9 +257,16 @@ class _GrowthTrackers:
     updates the running state, and returns each measure's ``step`` value from
     the measure table on the grown set. Values agree with evaluating the
     measures from scratch on each prefix (the packing count uses the
-    arrival-order greedy approximation; the determinant uses an incrementally
-    extended Cholesky factor and freezes at zero once the similarity matrix
-    goes singular, which for a PSD kernel is permanent).
+    arrival-order greedy approximation; the determinant freezes at zero once
+    the similarity matrix goes singular, which for a PSD kernel is permanent).
+
+    The determinant keeps the inverse ``M = L^-1`` of the similarity matrix's
+    Cholesky factor, so each step is two matrix-vector products and no
+    triangular solve (numpy only). With ``l = M @ (1 - d)`` for the new
+    point's distances ``d``, the step's pivot is ``s = 1 - l.l``, the log
+    determinant grows by ``log s`` and ``M`` gains the row
+    ``[-(l @ M) / sqrt(s), 1 / sqrt(s)]``. ``M`` sits in a square buffer that
+    doubles when full, so a step writes one row instead of copying the factor.
     """
 
     def __init__(self, specs: Sequence[MeasureSpec]):
@@ -282,34 +289,30 @@ class _GrowthTrackers:
         self._needs_fragments = any(spec.kind == "coverage" for spec in self.specs)
         self._steps = [(spec.key(), spec, MEASURES[spec.kind].step) for spec in self.specs]
         self.dpp = 0.0
-        self.chol = np.zeros((0, 0))
+        self.inv_chol = np.zeros((0, 0))  # M = L^-1 in its top-left size x size
         self.logdet = 0.0
         self.singular = False
 
     def _dpp_value(self, dists: np.ndarray) -> float:
-        if self.size == 0:  # first point: matrix [[1]], but singleton => 0
-            self.chol = np.ones((1, 1))
+        k = self.size
+        if k == 0:  # first point: matrix [[1]], but singleton => 0
+            self.inv_chol = np.ones((1, 1))
             return 0.0
         if self.singular:
             return 0.0
-        sims = 1.0 - dists
-        L = self.chol
-        if L.shape[0] == 1:
-            l = sims / L[0, 0]
-        else:
-            import scipy.linalg  # deferred: the CLI loads scipy only when a dpp tracker runs
-
-            l = scipy.linalg.solve_triangular(L, sims, lower=True, check_finite=False)
+        inv = self.inv_chol[:k, :k]
+        l = inv @ (1.0 - dists)
         s = 1.0 - float(l @ l)
         if s <= 1e-300:
             self.singular = True
             return 0.0
-        k = L.shape[0]
-        new = np.zeros((k + 1, k + 1))
-        new[:k, :k] = L
-        new[k, :k] = l
-        new[k, k] = np.sqrt(s)
-        self.chol = new
+        if k == self.inv_chol.shape[0]:
+            grown = np.zeros((2 * k, 2 * k))
+            grown[:k, :k] = inv
+            self.inv_chol, inv = grown, grown[:k, :k]
+        root = np.sqrt(s)
+        self.inv_chol[k, :k] = -(l @ inv) / root
+        self.inv_chol[k, k] = 1.0 / root
         self.logdet += np.log(s)
         if self.logdet < -745.0:  # exp underflows to 0.0
             return 0.0
@@ -425,11 +428,9 @@ def protocol_growing(
                 series[key][step] = val
         # First differences, the step-1 value kept as-is (v[0] - 0.0 == v[0]).
         inc = {key: np.diff(v, prepend=0.0) for key, v in series.items()}
-        gs_inc = inc[gs_spec.key()]
-        dtws = {
-            spec.key(): dtw(inc[spec.key()], gs_inc, normalize=normalize_dtw) for spec in specs
-        }
-        return CurveSeries(steps=np.arange(1, n + 1), values=series), dtws
+        keys = [spec.key() for spec in specs]
+        dtws = dtw(np.stack([inc[key] for key in keys]), inc[gs_spec.key()], normalize=normalize_dtw)
+        return CurveSeries(steps=np.arange(1, n + 1), values=series), dict(zip(keys, dtws.tolist()))
 
     results = [one_run(r) for r in range(runs)]
     curves = [r[0] for r in results]

@@ -53,7 +53,7 @@ def _znorm(arr: np.ndarray) -> np.ndarray:
     return (arr - arr.mean()) / std
 
 
-def dtw(a, b, normalize: bool = False) -> float:
+def dtw(a, b, normalize: bool = False) -> float | np.ndarray:
     """Dynamic time warping distance with |a_i - b_j| local cost.
 
     Classic unwindowed dynamic program over match / insert / delete steps:
@@ -61,29 +61,37 @@ def dtw(a, b, normalize: bool = False) -> float:
     It is computed by anti-diagonals ``k = i + j``, each from the two before
     it, in O(n + m) memory. Each cell is one min and one addition whatever
     the fill order, so the float result is the same as a row-by-row fill's.
-    ``normalize`` z-scores both series first (off by default; the raw scales
-    are part of what the growing-size comparison looks at). Empty or
+    ``a`` is one series, or a stack of equal-length series (one per row)
+    that are all warped against ``b`` in the same pass; a stack returns one
+    distance per row, each bit-identical to a one-row call. ``normalize``
+    z-scores ``b`` and each row of ``a`` first (off by default; the raw
+    scales are part of what the growing-size comparison looks at). Empty or
     non-finite series are refused.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.ndim not in (1, 2) or b.ndim != 1:
+        raise ValueError("dtw requires a series or a stack of series against one series")
     if a.size == 0 or b.size == 0:
         raise ValueError("dtw requires nonempty series")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("dtw requires finite values")
     if normalize:
-        a = _znorm(a)
+        a = np.apply_along_axis(_znorm, -1, a)
         b = _znorm(b)
-    n, m = a.size, b.size
+    n, m = a.shape[-1], b.size
     rb = b[::-1]
-    # Diagonal buffers indexed by i; cells off the grid stay inf.
-    before = np.full(n + 1, np.inf)  # k = 0: only acc[0, 0]
-    before[0] = 0.0
-    last = np.full(n + 1, np.inf)  # k = 1: acc[0, 1] and acc[1, 0]
+    # Diagonal buffers indexed by (row, i); cells off the grid stay inf.
+    shape = a.shape[:-1] + (n + 1,)
+    before = np.full(shape, np.inf)  # k = 0: only acc[0, 0]
+    before[..., 0] = 0.0
+    last = np.full(shape, np.inf)  # k = 1: acc[0, 1] and acc[1, 0]
     for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
-        cur = np.full(n + 1, np.inf)
-        step = np.minimum(np.minimum(last[lo - 1 : hi], last[lo : hi + 1]), before[lo - 1 : hi])
-        cur[lo : hi + 1] = np.abs(a[lo - 1 : hi] - rb[m - k + lo : m - k + hi + 1]) + step
+        cur = np.full(shape, np.inf)
+        step = np.minimum(
+            np.minimum(last[..., lo - 1 : hi], last[..., lo : hi + 1]), before[..., lo - 1 : hi]
+        )
+        cur[..., lo : hi + 1] = np.abs(a[..., lo - 1 : hi] - rb[m - k + lo : m - k + hi + 1]) + step
         before, last = last, cur
-    return float(last[n])
+    return last[:, n] if a.ndim == 2 else float(last[n])

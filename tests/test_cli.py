@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,36 @@ def test_compare_matrix_and_determinism(synthetic_tsv, tmp_path):
     # Identical dataset passed twice: identical rows.
     first = [r for r in doc["results"] if r["dataset"] == rich_rows[0]["dataset"]]
     assert first[:3] == doc["results"][3:]
+
+
+def test_compare_frees_previous_input_before_next_load(synthetic_tsv, tmp_path, monkeypatch):
+    import chemspace.cli
+    import chemspace.distances
+
+    matrices = []
+    build = chemspace.distances.pairwise_tanimoto
+
+    def tracked_build(*args, **kwargs):
+        out = build(*args, **kwargs)
+        matrices.append(weakref.ref(out))
+        return out
+
+    alive_at_load = []
+    load = chemspace.cli.load_dataset
+
+    def tracked_load(path):
+        gc.collect()
+        alive_at_load.append([ref() is not None for ref in matrices])
+        return load(path)
+
+    monkeypatch.setattr(chemspace.distances, "pairwise_tanimoto", tracked_build)
+    monkeypatch.setattr(chemspace.cli, "load_dataset", tracked_load)
+    code = run_cli(
+        ["compare", "--in", synthetic_tsv, synthetic_tsv, synthetic_tsv,
+         "--measures", "diversity", "--repeats", "1", "--out", tmp_path / "c.json"]
+    )
+    assert code == 0
+    assert alive_at_load == [[], [False], [False, False]]
 
 
 def _count_distance_calls(monkeypatch):
@@ -408,14 +440,23 @@ def test_deterministic_json_modulo_volatile(synthetic_tsv, tmp_path):
     assert a == b
 
 
+def _child_env() -> dict[str, str]:
+    """A minimal environment for a CLI child: the checkout's sources on the
+    path, and no bytecode written into them."""
+    return {
+        "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+        "PATH": "/usr/bin:/bin",
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+
+
 def test_cli_subprocess_smoke(synthetic_tsv):
-    env_src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-m", "chemspace.cli", "measure", "--in", str(synthetic_tsv),
          "--measures", "richness"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+        env=_child_env(),
     )
     assert result.returncode == 0
     doc = json.loads(result.stdout)
@@ -423,14 +464,29 @@ def test_cli_subprocess_smoke(synthetic_tsv):
 
 
 def test_cli_import_loads_no_scipy():
-    env_src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-c", "import sys, chemspace.cli; assert 'scipy' not in sys.modules"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_corr_growing_with_dpp_loads_no_scipy(synthetic_tsv, tmp_path):
+    code = (
+        "import sys\n"
+        "from chemspace.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    args = ["corr-growing", "--in", str(synthetic_tsv), "--n", "20", "--runs", "2",
+            "--measures", "dpp,diversity", "--out", str(tmp_path / "g.json")]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert [r["measure"] for r in read_json(tmp_path / "g.json")["results"]] == ["dpp", "diversity"]
 
 
 def test_package_exports_resolve():
@@ -438,12 +494,11 @@ def test_package_exports_resolve():
 
     for name in chemspace.__all__:
         assert getattr(chemspace, name) is not None, name
-    env_src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-c", "from chemspace import *"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
 

@@ -157,6 +157,35 @@ def test_growth_tracker_dpp_freezes_on_duplicates():
     assert vals == [0.0, 0.0, 0.0]  # singleton, exact duplicate, frozen
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_growth_tracker_dpp_matches_slogdet_of_every_prefix(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 151))
+    bits = rng.random((n, 64)) < rng.uniform(0.2, 0.6)
+    # Near-duplicates: some records copy an earlier one with one bit flipped.
+    for i in range(1, n):
+        if rng.random() < 0.15:
+            bits[i] = bits[int(rng.integers(0, i))]
+            bits[i, int(rng.integers(0, 64))] ^= True
+    ds = Dataset(
+        [MoleculeRecord(f"m{i}", Fingerprint.from_bits(row), "c") for i, row in enumerate(bits)]
+    )
+    full = TanimotoOracle(ds).full_matrix()
+    trackers = _GrowthTrackers([MeasureSpec("dpp")])
+    for k in range(n):
+        value = trackers.add(full[k, :k], ds.key_codes[k], ds.label_codes[k], None)["dpp"]
+        if k == 0:
+            assert value == 0.0  # a singleton scores 0
+            continue
+        sims = 1.0 - full[: k + 1, : k + 1]
+        sign, logdet = np.linalg.slogdet(sims)
+        assert value == pytest.approx(sign * np.exp(logdet), rel=1e-10, abs=1e-12), (n, k)
+        # A well-conditioned prefix has an accurate determinant at any scale,
+        # so compare logs there, also past the factor buffer's growth points.
+        if np.linalg.cond(sims) < 1e8:
+            assert np.log(value) == pytest.approx(logdet, abs=1e-9), (n, k)
+
+
 def test_growth_tracker_sums_add_members_in_arrival_order(small_dataset):
     # sum_diameter / sum_bottleneck must add the per-member extrema left to
     # right, as Python's sum does; a pairwise (numpy) sum moves the last bits.

@@ -165,6 +165,28 @@ def test_dtw_equals_row_by_row_fill_exactly():
         assert dtw(a, b, normalize=normalize) == row_by_row_dtw(a, b, normalize), (case, n, m)
 
 
+@st.composite
+def _dtw_stacks(draw):
+    n = draw(st.integers(1, 80))
+    finite = st.floats(-50, 50, allow_subnormal=False)
+    rows = draw(st.lists(st.lists(finite, min_size=n, max_size=n), min_size=1, max_size=10))
+    b = draw(st.lists(finite, min_size=1, max_size=80))
+    return np.array(rows), np.array(b), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dtw_stacks())
+def test_dtw_stack_equals_one_call_per_row(case):
+    rows, b, normalize = case
+    got = dtw(rows, b, normalize=normalize)
+    assert got.shape == (len(rows),)
+    for row, value in zip(rows, got):
+        assert value == dtw(row, b, normalize=normalize)
+        # The reference divides by the deviation, so it needs non-constant series.
+        if not normalize or (row.std() > 0 and b.std() > 0):
+            assert value == row_by_row_dtw(row, b, normalize)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(-50, 50), min_size=1, max_size=10),
@@ -185,6 +207,13 @@ def test_dtw_normalize_flag():
 def test_dtw_rejects_empty():
     with pytest.raises(ValueError):
         dtw([], [1.0])
+
+
+def test_dtw_rejects_shapes_other_than_series_or_stack():
+    with pytest.raises(ValueError, match="stack"):
+        dtw(np.zeros((2, 2, 2)), [1.0])
+    with pytest.raises(ValueError, match="stack"):
+        dtw([1.0], [[1.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
