@@ -17,7 +17,6 @@ from .axioms import (
     replay_counterexample,
 )
 from .circles import (
-    IncrementalPacking,
     PackingResult,
     circles_auto,
     circles_exact,
@@ -72,7 +71,6 @@ __all__ = [
     "EXPECTED_CLASSIFICATION",
     "Fingerprint",
     "GeodesicConfig",
-    "IncrementalPacking",
     "MatrixOracle",
     "MeasureResult",
     "MeasureSpec",

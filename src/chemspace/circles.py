@@ -245,27 +245,3 @@ def circles_auto(
         return circles_exact(idx, oracle, t)
     return circles_greedy(idx, oracle, t, restarts=restarts, seed=seed)
 
-
-class IncrementalPacking:
-    """Arrival-order sphere exclusion over a growing set.
-
-    Feeding points one at a time, the running count equals a single greedy
-    pass over each prefix in arrival order. Used by the growing-size protocol
-    and matches the admit-if-novel rule of the streaming novelty scorer.
-    """
-
-    def __init__(self, t: float):
-        self.t = t
-        self.center_positions: list[int] = []
-        self._size = 0
-
-    def add(self, dists_to_members: np.ndarray) -> int:
-        """Add the next point given its distances to all previous members."""
-        if admits(dists_to_members[self.center_positions], self.t):
-            self.center_positions.append(self._size)
-        self._size += 1
-        return len(self.center_positions)
-
-    @property
-    def count(self) -> int:
-        return len(self.center_positions)

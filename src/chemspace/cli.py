@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .axioms import quadrant_table
+from .circles import DEFAULT_RESTARTS
 from .distances import TanimotoOracle
 from .errors import ChemSpaceError, DatasetFormatError, MeasureParamError, ProtocolError
 from .fingerprints import Fingerprint, load_dataset, write_dataset
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=tuple(NOVELTY_KINDS), required=True)
     p.add_argument("--t", type=float, default=None, help="threshold for the circles indicator")
     p.add_argument("--against-centers", action="store_true")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_novelty)
 

@@ -5,11 +5,12 @@ the empty set. Distance-based measures also return 0 for singletons, so the
 value never depends on an arbitrary single-point weight.
 
 ``MEASURES`` maps each kind to what it reads, its parameter checks, its value
-on a whole ``Selection`` and its per-step value inside the growth trackers.
-``evaluate_measure`` (library and CLI), the fixed-size protocol, the axiom
-worlds and the growth trackers all go through it; they differ only in how
-they build the selection and in the circles policy they pass. The kernels
-(``*_from_dmatrix``) operate on a precomputed pairwise distance submatrix. A
+on a whole ``Selection`` and its growth curve, the value on each of the
+selection's prefixes in point order. ``evaluate_measure`` (library and CLI),
+the fixed-size protocol and the axiom worlds read the whole-set value, and the
+growing-size protocol reads the curve; they differ only in how they build the
+selection and in the circles policy they pass. The kernels (``*_from_dmatrix``
+and ``*_prefix``) operate on a precomputed pairwise distance submatrix. A
 ``Selection`` caches that submatrix and its upper triangle, so the distance
 measures on one selection gather each once; richness and the gold standard
 count distinct codes in a column of fingerprint or label codes.
@@ -23,7 +24,13 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .circles import DEFAULT_RESTARTS, circles_auto, refuse_exact_over_cap
+from .circles import (
+    DEFAULT_RESTARTS,
+    circles_auto,
+    greedy_pack_positions,
+    refuse_exact_over_cap,
+    threshold_adjacency,
+)
 from .errors import MeasureParamError, MeasureSizeError, MissingFragmentsError
 from .fingerprints import Dataset
 
@@ -227,6 +234,105 @@ def dpp_from_dmatrix(dmatrix: np.ndarray) -> tuple[float, float | None]:
 
 
 # ---------------------------------------------------------------------------
+# Prefix kernels: the value on each prefix of the point order (points 0..k),
+# read from the whole submatrix, which must be symmetric. Index 0 is the
+# singleton, 0.0 for every distance kind.
+
+def _zero_first(values: np.ndarray) -> np.ndarray:
+    values[:1] = 0.0
+    return values
+
+
+def _pair_sum_prefix(dmatrix: np.ndarray, divisor) -> np.ndarray:
+    """Twice the sum of the distances among points 0..k over ``divisor(k)``.
+
+    Each point's distances to the points before it are summed as one row, and
+    the rows are then added in order; a whole-triangle reduction would group
+    the additions differently and move the last bits.
+    """
+    k = np.arange(dmatrix.shape[0])
+    sums = np.cumsum([dmatrix[i, :i].sum() for i in k])
+    return np.divide(2.0 * sums, divisor(k), out=np.zeros(k.size), where=k > 0)
+
+
+def _extremum_prefix(dmatrix: np.ndarray, reduce, fill: float) -> np.ndarray:
+    """Running ``reduce`` (np.maximum or np.minimum) over the pairs of each
+    prefix: each point's extremum to the points before it, accumulated."""
+    lower = np.where(_upper_mask(dmatrix.shape[0]).T, dmatrix, fill)
+    return _zero_first(reduce.accumulate(reduce.reduce(lower, axis=1)))
+
+
+def _sum_of_extrema_prefix(dmatrix: np.ndarray, reduce, diagonal: float) -> np.ndarray:
+    """For each prefix 0..k, the sum over its members of their farthest
+    (np.maximum) or nearest (np.minimum) other member.
+
+    Row k of the column-wise running ``reduce`` holds every member's extremum
+    within the prefix; the members are added left to right.
+    """
+    acc = dmatrix.copy()
+    np.fill_diagonal(acc, diagonal)
+    reduce.accumulate(acc, axis=0, out=acc)
+    acc[_upper_mask(acc.shape[0])] = 0.0
+    return _zero_first(np.cumsum(acc, axis=1).diagonal().copy())
+
+
+def _dpp_prefix(dmatrix: np.ndarray) -> np.ndarray:
+    """Determinant of the similarity matrix 1 - d of every prefix.
+
+    Keeps ``M = L^-1``, the inverse of the Cholesky factor of the prefix's
+    similarity matrix. With ``l = M @ (1 - d)`` for point k's distances ``d``
+    to the points before it, the pivot is ``s = 1 - l.l``, the log
+    determinant grows by ``log s`` and ``M`` gains the row
+    ``[-(l @ M) / sqrt(s), 1 / sqrt(s)]``. The value freezes at zero once the
+    matrix goes singular (``s <= 1e-300``), which for a PSD kernel is
+    permanent, and reads 0.0 where ``exp`` of the log determinant underflows.
+    """
+    n = dmatrix.shape[0]
+    values = np.zeros(n)
+    inv = np.zeros((n, n))
+    inv[:1, :1] = 1.0
+    logdet = 0.0
+    for k in range(1, n):
+        l = inv[:k, :k] @ (1.0 - dmatrix[k, :k])
+        s = 1.0 - float(l @ l)
+        if s <= 1e-300:
+            break
+        root = np.sqrt(s)
+        inv[k, :k] = -(l @ inv[:k, :k]) / root
+        inv[k, k] = 1.0 / root
+        logdet += np.log(s)
+        if logdet >= -745.0:  # below, exp underflows to 0.0
+            values[k] = np.exp(logdet)
+    return values
+
+
+def _distinct_prefix(codes: np.ndarray) -> np.ndarray:
+    """Number of distinct codes among the first 1..n."""
+    first = np.zeros(codes.size)
+    first[np.unique(codes, return_index=True)[1]] = 1.0
+    return np.cumsum(first)
+
+
+def _covered_prefix(sel: Selection, spec: MeasureSpec) -> np.ndarray:
+    covered: set[str] = set()
+    values = np.empty(len(sel.indices))
+    for k, i in enumerate(sel.indices):
+        covered |= sel.fragments(i)
+        values[k] = _covered([covered], spec)
+    return values
+
+
+def _circles_prefix(sel: Selection, spec: MeasureSpec) -> np.ndarray:
+    """Greedy packing count of every prefix: one sphere-exclusion pass in
+    point order admits each center when it arrives."""
+    n = len(sel.indices)
+    adjacency = threshold_adjacency(sel.dmatrix, float(spec.param("t")))
+    centers = np.zeros(n)
+    centers[greedy_pack_positions(adjacency.__getitem__, order=range(n))] = 1.0
+    return np.cumsum(centers)
+
+
+# ---------------------------------------------------------------------------
 # Selections and their builder for dataset records.
 
 @dataclass(eq=False)
@@ -239,13 +345,13 @@ class Selection:
     ``offdiag``. ``key_codes`` and ``label_codes`` map an index array to the
     points' fingerprint and class-label codes, equal exactly where the
     fingerprints or labels are; ``fragments`` reads one point's fragment set.
-    ``pack(selection, spec)`` is the caller's circles policy; it returns the
-    count and the metadata to report.
+    ``pack(selection, spec)`` is the caller's circles policy for the value on
+    the whole selection; it returns the count and the metadata to report.
     """
 
     indices: Any
     submatrix: Callable[[], np.ndarray]
-    pack: Callable[["Selection", MeasureSpec], tuple[float, dict]]
+    pack: Callable[["Selection", MeasureSpec], tuple[float, dict]] | None = None
     key_codes: Callable[[Any], np.ndarray] | None = None
     label_codes: Callable[[Any], np.ndarray] | None = None
     fragments: Callable[[int], Any] | None = None
@@ -320,13 +426,14 @@ class Measure:
     ``reads`` names its input: "distances", "keys", "labels" or "fragments".
     ``check(spec, size)`` rejects bad parameters (None: nothing to check).
     ``batch(selection, spec)`` returns the value on a whole selection and its
-    metadata. ``step(trackers, spec)`` returns the value from the running
-    state of ``protocols._GrowthTrackers`` after each added point.
+    metadata. ``prefix(selection, spec)`` returns the growth curve: the value
+    on the selection's first 1..n points, in its point order. Circles packs
+    each prefix with one greedy pass in that order.
     """
 
     reads: str
     batch: Callable[[Selection, MeasureSpec], tuple[float, dict]]
-    step: Callable[[Any, MeasureSpec], float]
+    prefix: Callable[[Selection, MeasureSpec], np.ndarray]
     check: Callable[[MeasureSpec, int | None], None] | None = None
 
 
@@ -347,42 +454,41 @@ def _dpp_batch(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
     return value, {"convention": "size<=1"} if raw is None else {"raw_determinant": raw}
 
 
-# Batch entries call their kernel inside a lambda, so the module-level name is
+# Entries call their kernel inside a lambda, so the module-level name is
 # looked up at call time and a replaced kernel (a tracer, a test) takes effect.
 MEASURES: dict[str, Measure] = {
     "richness": Measure(
         "keys", lambda s, spec: (_distinct(s.key_codes(s.indices)), {}),
-        lambda tr, spec: float(len(tr.keys))),
+        lambda s, spec: _distinct_prefix(s.key_codes(s.indices))),
     "gold_standard": Measure(
         "labels", lambda s, spec: (_distinct(s.label_codes(s.indices)), {}),
-        lambda tr, spec: float(len(tr.labels))),
+        lambda s, spec: _distinct_prefix(s.label_codes(s.indices))),
     "coverage": Measure(
         "fragments", lambda s, spec: (_covered(map(s.fragments, s.indices), spec), {}),
-        lambda tr, spec: _covered([tr.frag_union], spec)),
+        _covered_prefix),
     "diversity": Measure(
         "distances", lambda s, spec: (diversity_from_dmatrix(s.dmatrix, s.offdiag), {}),
-        lambda tr, spec: 2.0 * tr.pair_sum / (tr.size * (tr.size - 1)) if tr.size > 1 else 0.0),
+        lambda s, spec: _pair_sum_prefix(s.dmatrix, lambda k: (k + 1) * k)),
     "sum_diversity": Measure(
         "distances", lambda s, spec: (sum_diversity_from_dmatrix(s.dmatrix, s.offdiag), {}),
-        lambda tr, spec: 2.0 * tr.pair_sum / (tr.size - 1) if tr.size > 1 else 0.0),
+        lambda s, spec: _pair_sum_prefix(s.dmatrix, lambda k: k)),
     "diameter": Measure(
         "distances", lambda s, spec: (diameter_from_dmatrix(s.dmatrix, s.offdiag), {}),
-        lambda tr, spec: tr.max_dist if tr.size > 1 else 0.0),
+        lambda s, spec: _extremum_prefix(s.dmatrix, np.maximum, -np.inf)),
     "sum_diameter": Measure(
         "distances", lambda s, spec: (sum_diameter_from_dmatrix(s.dmatrix), {}),
-        lambda tr, spec: sum(tr.row_max.tolist()) if tr.size > 1 else 0.0),
+        lambda s, spec: _sum_of_extrema_prefix(s.dmatrix, np.maximum, -np.inf)),
     "bottleneck": Measure(
         "distances", lambda s, spec: (bottleneck_from_dmatrix(s.dmatrix, s.offdiag), {}),
-        lambda tr, spec: tr.min_dist if tr.size > 1 else 0.0),
+        lambda s, spec: _extremum_prefix(s.dmatrix, np.minimum, np.inf)),
     "sum_bottleneck": Measure(
         "distances", lambda s, spec: (sum_bottleneck_from_dmatrix(s.dmatrix), {}),
-        lambda tr, spec: sum(tr.row_min.tolist()) if tr.size > 1 else 0.0),
+        lambda s, spec: _sum_of_extrema_prefix(s.dmatrix, np.minimum, np.inf)),
     "dpp": Measure(
-        "distances", _dpp_batch, lambda tr, spec: tr.dpp if tr.size > 1 else 0.0,
+        "distances", _dpp_batch, lambda s, spec: _dpp_prefix(s.dmatrix),
         check=lambda spec, size: _refuse_large_dpp(size)),
     "circles": Measure(
-        "distances", lambda s, spec: s.pack(s, spec),
-        lambda tr, spec: float(tr.packers[spec.key()].count), check=_check_circles),
+        "distances", lambda s, spec: s.pack(s, spec), _circles_prefix, check=_check_circles),
 }
 
 

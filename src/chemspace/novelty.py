@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circles import admits, circles_greedy
+from .circles import DEFAULT_RESTARTS, admits, circles_greedy
 from .distances import DistanceOracle, TanimotoOracle, tanimoto_from_row
 from .errors import DimensionMismatchError
 from .fingerprints import Dataset, Fingerprint
+from .measures import MeasureSpec, validate_spec
 
 
 @dataclass
@@ -27,6 +28,8 @@ class NoveltyContext:
     ``t`` is only needed by the packing indicator. With ``against_centers``
     the reference set is reduced to a greedy packing of itself first, so
     scores are relative to the covered regions instead of every member.
+    ``from_dataset`` holds a given ``t``, ``restarts`` and ``seed`` to the
+    circles measure's parameter rules.
     """
 
     members: np.ndarray
@@ -49,9 +52,11 @@ class NoveltyContext:
         members=None,
         t: float | None = None,
         against_centers: bool = False,
-        restarts: int = 8,
+        restarts: int = DEFAULT_RESTARTS,
         seed: int = 0,
     ) -> "NoveltyContext":
+        if t is not None:
+            validate_spec(MeasureSpec("circles", {"t": t, "restarts": restarts, "seed": seed}))
         members = np.arange(len(dataset)) if members is None else np.asarray(members)
         oracle = TanimotoOracle(dataset)
         if against_centers:

@@ -3,10 +3,11 @@ distinct bioactivity classes covered by a sampled molecule set.
 
 Two settings. Fixed-size draws many random subsets (biased toward a random
 label sub-universe) and rank-correlates each measure with the label-count
-gold standard. Growing-size builds one set a molecule at a time under a
-sampling bias, records per-step curves, and compares incremental curves by
-dynamic time warping. Everything is a deterministic function of (dataset,
-parameters, seed).
+gold standard. Growing-size orders a set's molecules as they would be added
+one at a time under a sampling bias, reads each measure's per-step curve from
+the measure table's prefix kernel on that ordered selection, and compares
+incremental curves by dynamic time warping. Everything is a deterministic
+function of (dataset, parameters, seed).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .circles import DEFAULT_RESTARTS, IncrementalPacking, greedy_pack_count
-from .errors import MeasureParamError, MissingFragmentsError, ProtocolError
+from .circles import DEFAULT_RESTARTS, greedy_pack_count
+from .errors import MeasureParamError, ProtocolError
 from .fingerprints import Dataset
 from .distances import TanimotoOracle, gather_submatrix
 from .measures import (
@@ -250,103 +251,6 @@ def protocol_fixed(
 # ---------------------------------------------------------------------------
 # Growing-size setting.
 
-class _GrowthTrackers:
-    """Incremental per-step values of every tracked measure.
-
-    ``add`` receives the new point's distances to all previous members,
-    updates the running state, and returns each measure's ``step`` value from
-    the measure table on the grown set. Values agree with evaluating the
-    measures from scratch on each prefix (the packing count uses the
-    arrival-order greedy approximation; the determinant freezes at zero once
-    the similarity matrix goes singular, which for a PSD kernel is permanent).
-
-    The determinant keeps the inverse ``M = L^-1`` of the similarity matrix's
-    Cholesky factor, so each step is two matrix-vector products and no
-    triangular solve (numpy only). With ``l = M @ (1 - d)`` for the new
-    point's distances ``d``, the step's pivot is ``s = 1 - l.l``, the log
-    determinant grows by ``log s`` and ``M`` gains the row
-    ``[-(l @ M) / sqrt(s), 1 / sqrt(s)]``. ``M`` sits in a square buffer that
-    doubles when full, so a step writes one row instead of copying the factor.
-    """
-
-    def __init__(self, specs: Sequence[MeasureSpec]):
-        self.specs = list(specs)
-        self.size = 0
-        self.pair_sum = 0.0
-        self.max_dist = 0.0
-        self.min_dist = np.inf
-        self.row_max = np.empty(0)  # per member: farthest other member so far
-        self.row_min = np.empty(0)  # per member: nearest other member so far
-        self.keys: set[int] = set()  # fingerprint codes
-        self.labels: set[int] = set()  # label codes
-        self.frag_union: set[str] = set()
-        self.packers = {
-            spec.key(): IncrementalPacking(float(spec.param("t")))
-            for spec in self.specs
-            if spec.kind == "circles"
-        }
-        self._has_dpp = any(spec.kind == "dpp" for spec in self.specs)
-        self._needs_fragments = any(spec.kind == "coverage" for spec in self.specs)
-        self._steps = [(spec.key(), spec, MEASURES[spec.kind].step) for spec in self.specs]
-        self.dpp = 0.0
-        self.inv_chol = np.zeros((0, 0))  # M = L^-1 in its top-left size x size
-        self.logdet = 0.0
-        self.singular = False
-
-    def _dpp_value(self, dists: np.ndarray) -> float:
-        k = self.size
-        if k == 0:  # first point: matrix [[1]], but singleton => 0
-            self.inv_chol = np.ones((1, 1))
-            return 0.0
-        if self.singular:
-            return 0.0
-        inv = self.inv_chol[:k, :k]
-        l = inv @ (1.0 - dists)
-        s = 1.0 - float(l @ l)
-        if s <= 1e-300:
-            self.singular = True
-            return 0.0
-        if k == self.inv_chol.shape[0]:
-            grown = np.zeros((2 * k, 2 * k))
-            grown[:k, :k] = inv
-            self.inv_chol, inv = grown, grown[:k, :k]
-        root = np.sqrt(s)
-        self.inv_chol[k, :k] = -(l @ inv) / root
-        self.inv_chol[k, k] = 1.0 / root
-        self.logdet += np.log(s)
-        if self.logdet < -745.0:  # exp underflows to 0.0
-            return 0.0
-        return float(np.exp(self.logdet))
-
-    def add(self, dists: np.ndarray, key: int, label: int, fragments) -> dict[str, float]:
-        if fragments is None and self._needs_fragments:
-            raise MissingFragmentsError(
-                f"the record added at step {self.size + 1} has no fragment annotations"
-            )
-        dists = np.asarray(dists, dtype=np.float64)
-        if self._has_dpp:
-            self.dpp = self._dpp_value(dists)
-        if self.size > 0:
-            far, near = float(dists.max()), float(dists.min())
-            self.pair_sum += float(dists.sum())
-            self.max_dist = max(self.max_dist, far)
-            self.min_dist = min(self.min_dist, near)
-            np.maximum(self.row_max, dists, out=self.row_max)
-            np.minimum(self.row_min, dists, out=self.row_min)
-        else:
-            far, near = 0.0, np.inf
-        self.row_max = np.append(self.row_max, far)
-        self.row_min = np.append(self.row_min, near)
-        self.keys.add(key)
-        self.labels.add(label)
-        if fragments is not None:
-            self.frag_union |= fragments
-        for packer in self.packers.values():
-            packer.add(dists)
-        self.size += 1
-        return {name: step(self, spec) for name, spec, step in self._steps}
-
-
 def _grow_order(
     rng: np.random.Generator,
     pool: np.ndarray,
@@ -401,7 +305,14 @@ def protocol_growing(
     normalize_dtw: bool = False,
 ) -> ProtocolResult:
     """Growing-size setting: per-step measure curves under a sampling bias,
-    compared with the gold-standard curve by DTW on incremental series."""
+    compared with the gold-standard curve by DTW on incremental series.
+
+    Each run draws a label pool and a growth order from it. The order is one
+    ``Selection`` over the precomputed matrix, and every tracked measure's
+    curve is ``MEASURES[kind].prefix`` on it: the value after each of the
+    first 1..n molecules, with circles packed by one greedy pass in arrival
+    order.
+    """
     _check_sample(dataset, n)
     if bias not in BIAS_MODES:
         raise ProtocolError(f"bias must be one of {BIAS_MODES}, got {bias!r}")
@@ -409,7 +320,7 @@ def protocol_growing(
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
     full = TanimotoOracle(dataset).full_matrix()
-    key_codes, label_codes = dataset.key_codes.tolist(), dataset.label_codes.tolist()
+    readers = dataset_readers(dataset)
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
 
     def one_run(run_idx: int) -> tuple[CurveSeries, dict[str, float]]:
@@ -418,14 +329,8 @@ def protocol_growing(
         rng_growth = np.random.default_rng(growth_ss)
         pool = _sample_label_pool(rng_sample, dataset, n)
         order = _grow_order(rng_growth, pool, n, bias, full, power)
-        trackers = _GrowthTrackers(tracked)
-        series = {spec.key(): np.empty(n) for spec in tracked}
-        for step, idx in enumerate(order):
-            idx = int(idx)
-            dists = full[idx, order[:step]]
-            values = trackers.add(dists, key_codes[idx], label_codes[idx], dataset.fragments[idx])
-            for key, val in values.items():
-                series[key][step] = val
+        sel = Selection(order, lambda: gather_submatrix(full, order), **readers)
+        series = {spec.key(): MEASURES[spec.kind].prefix(sel, spec) for spec in tracked}
         # First differences, the step-1 value kept as-is (v[0] - 0.0 == v[0]).
         inc = {key: np.diff(v, prepend=0.0) for key, v in series.items()}
         keys = [spec.key() for spec in specs]

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemspace.circles import (
-    IncrementalPacking,
     circles_auto,
     circles_exact,
     circles_greedy,
@@ -15,7 +14,7 @@ from chemspace.circles import (
 from chemspace.distances import MatrixOracle, TanimotoOracle
 from chemspace.errors import MeasureSizeError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
-from chemspace.measures import richness
+from chemspace.measures import MEASURES, MeasureSpec, Selection, richness
 
 
 def random_metric_oracle(rng, n):
@@ -182,15 +181,18 @@ def test_strict_inequality_at_threshold():
 
 
 def test_incremental_packing_matches_single_pass_greedy():
+    # The circles growth curve: a count per prefix, each a single greedy pass
+    # over that prefix in point order.
     rng = np.random.default_rng(11)
     for trial in range(15):
         n = int(rng.integers(1, 40))
         oracle = random_metric_oracle(rng, n)
         d = oracle.submatrix(range(n))
         t = float(rng.choice([0.2, 0.4, 0.6]))
-        inc = IncrementalPacking(t)
+        spec = MeasureSpec("circles", {"t": t})
+        curve = MEASURES["circles"].prefix(Selection(np.arange(n), lambda: d), spec)
         for i in range(n):
-            count = inc.add(d[i, :i])
+            count = curve[i]
             expected = circles_greedy(range(i + 1), oracle, t, restarts=1).count
             assert count == expected
 

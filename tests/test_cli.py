@@ -348,6 +348,19 @@ ONE_LINE_ERRORS = {
         "measure --in {data} --measures coverage:universe={tmp}/latin1.tsv",
         "latin1.tsv: not UTF-8",
     ),
+    # novelty holds --t and --restarts to the circles measure's rules.
+    "novelty-restarts-0": (
+        "novelty --in {data} --kind circles --t 0.5 --against-centers --restarts 0",
+        "circles restarts must be a positive integer, got 0",
+    ),
+    "novelty-restarts-negative": (
+        "novelty --in {data} --kind circles --t 0.5 --against-centers --restarts -3",
+        "circles restarts must be a positive integer, got -3",
+    ),
+    "novelty-t-negative": (
+        "novelty --in {data} --kind circles --t -1 --against-centers",
+        "circles threshold t must be in [0,1), got -1.0",
+    ),
     # Line 1 has only 0/1 digits, so it parses as a 4-bit string; line 2 is 16-bit hex.
     "measure-bit-string-beside-hex": (
         "measure --in {tmp}/mixed.tsv --measures richness",

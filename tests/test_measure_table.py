@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemspace.axioms import World, random_world, world_measure
 from chemspace.cli import main
-from chemspace.distances import TanimotoOracle
+from chemspace.distances import TanimotoOracle, gather_submatrix
 from chemspace.errors import MeasureParamError, MissingFragmentsError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, load_dataset, write_dataset
 from chemspace.measures import (
     MEASURES,
     MeasureSpec,
+    Selection,
     dataset_readers,
+    dataset_selection,
     evaluate_measure,
     evaluate_selection,
     parse_measure_spec,
@@ -19,7 +23,6 @@ from chemspace.measures import (
 from chemspace.protocols import (
     DEFAULT_PROTOCOL_MEASURES,
     _fixed_selection,
-    _GrowthTrackers,
     protocol_fixed,
     protocol_growing,
     threshold_sweep,
@@ -71,13 +74,13 @@ def test_every_kind_agrees_across_entry_points(annotated):
             sel = _fixed_selection(full, np.asarray(subset), readers, np.random.default_rng(seed))
             return evaluate_selection(spec, sel).value
 
-        trackers = _GrowthTrackers(
-            shared + [MeasureSpec("gold_standard"), MeasureSpec("circles", {"t": 0.6})]
-        )
-        for step, i in enumerate(subset):
-            grown = trackers.add(
-                full[i, subset[:step]], ds.key_codes[i], ds.label_codes[i], ds.fragments[i]
-            )
+        # The growth curves' last points: the growing-size protocol's path.
+        order = np.asarray(subset)
+        grown_sel = Selection(order, lambda: gather_submatrix(full, order), **readers)
+        grown = {
+            spec.key(): MEASURES[spec.kind].prefix(grown_sel, spec)[-1]
+            for spec in shared + [MeasureSpec("gold_standard"), MeasureSpec("circles", {"t": 0.6})]
+        }
 
         for spec in shared:
             value = library(spec)
@@ -95,6 +98,59 @@ def test_every_kind_agrees_across_entry_points(annotated):
         assert fixed(MeasureSpec("circles", {"t": 0.6}), seed=5) == best_of_k
         one_pass = library(MeasureSpec("circles", {"t": 0.6, "mode": "greedy", "restarts": 1}))
         assert grown["circles:t=0.6"] == one_pass
+
+
+@st.composite
+def growth_orders(draw):
+    """A small labeled dataset (duplicate fingerprints allowed, fragments on
+    some records) and an order of its records."""
+    n = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 70))
+    bits = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    annotated = draw(st.booleans())
+    records = []
+    for i in range(n):
+        copy = draw(st.integers(-1, i - 1)) if i else -1
+        fp = records[copy].fp if copy >= 0 else Fingerprint.from_bits(draw(bits))
+        fragments = draw(st.frozensets(st.sampled_from("abcdef"), max_size=3))
+        if not annotated and draw(st.booleans()):
+            fragments = None
+        records.append(MoleculeRecord(f"m{i}", fp, f"c{draw(st.integers(0, 3))}", fragments))
+    return Dataset(records), np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+
+
+# Kinds whose prefix kernel adds or multiplies in another order than batch.
+REORDERED_KINDS = {"diversity", "sum_diversity", "sum_diameter", "sum_bottleneck", "dpp"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(growth_orders())
+def test_prefix_equals_batch_on_every_prefix(case):
+    # prefix(sel)[k-1] is the batch value on the first k points of the order:
+    # exactly, except for the sums and the determinant (1e-9); circles packs
+    # each prefix with one greedy pass in order.
+    ds, order = case
+    oracle = TanimotoOracle(ds)
+    sel = Selection(order, lambda: oracle.submatrix(order), **dataset_readers(ds))
+    specs = [MeasureSpec(kind) for kind in MEASURES if kind != "circles"]
+    specs.append(MeasureSpec("coverage", {"universe": frozenset("ace")}))
+    specs += [MeasureSpec("circles", {"t": t}) for t in (0.0, 0.4, 0.75)]
+    missing = [ds.ids[i] for i in order if ds.fragments[i] is None]
+    for spec in specs:
+        if spec.kind == "coverage" and missing:
+            with pytest.raises(MissingFragmentsError, match=f"^record {missing[0]!r} "):
+                MEASURES[spec.kind].prefix(sel, spec)
+            continue
+        curve = MEASURES[spec.kind].prefix(sel, spec)
+        assert curve.shape == (len(order),) and curve.dtype == np.float64
+        batch_spec = spec
+        if spec.kind == "circles":
+            batch_spec = MeasureSpec("circles", {**spec.params, "mode": "greedy", "restarts": 1})
+        for k in range(1, len(order) + 1):
+            value = evaluate_selection(batch_spec, dataset_selection(order[:k], ds, oracle)).value
+            if spec.kind in REORDERED_KINDS:
+                value = pytest.approx(value, abs=1e-9)
+            assert curve[k - 1] == value, (spec.key(), k)
 
 
 def test_evaluate_measure_honours_exact_cap_env(monkeypatch):
@@ -127,18 +183,15 @@ def test_growing_coverage_intersects_universe():
     ds = _coverage_dataset()
     spec = MeasureSpec("coverage", {"universe": frozenset({"f0", "f1"})})
     full = TanimotoOracle(ds).full_matrix()
-    trackers = _GrowthTrackers([spec])
-    for step in range(4):
-        value = trackers.add(
-            full[step, :step], ds.key_codes[step], ds.label_codes[step], ds.fragments[step]
-        )
-    assert value[spec.key()] == 2.0
+    idx = np.arange(4)
+    sel = Selection(idx, lambda: gather_submatrix(full, idx), **dataset_readers(ds))
+    assert MEASURES["coverage"].prefix(sel, spec).tolist() == [1.0, 2.0, 2.0, 2.0]
     assert evaluate_measure(spec, range(4), dataset=ds).value == 2.0
 
 
 def test_growing_coverage_rejects_record_without_fragments():
     ds = _coverage_dataset(missing_at=5)
-    with pytest.raises(MissingFragmentsError):
+    with pytest.raises(MissingFragmentsError, match="^record 'm5' has no fragment annotations$"):
         protocol_growing(ds, n=12, measures=["coverage"], bias="uniform", runs=1)
 
 

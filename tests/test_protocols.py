@@ -1,13 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from chemspace.circles import circles_greedy
-from chemspace.distances import TanimotoOracle
+from chemspace.distances import TanimotoOracle, gather_submatrix
 from chemspace.errors import ProtocolError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
 from chemspace.measures import (
+    MEASURES,
     MeasureSpec,
+    Selection,
     bottleneck,
+    dataset_readers,
     diameter,
     diversity,
     dpp,
@@ -17,8 +22,8 @@ from chemspace.measures import (
     sum_diversity,
 )
 from chemspace.protocols import (
+    BIAS_MODES,
     CurveSeries,
-    _GrowthTrackers,
     protocol_fixed,
     protocol_growing,
     threshold_sweep,
@@ -93,6 +98,15 @@ def test_curve_series_incremental_round_trip():
         assert np.allclose(np.cumsum(inc[key]), vals[key])
 
 
+def growth_curves(ds, order, specs):
+    """Each spec's growth curve over ``order``, read as ``protocol_growing``
+    reads it: the prefix kernel on one ordered selection of the full matrix."""
+    full = TanimotoOracle(ds).full_matrix()
+    order = np.asarray(order, dtype=np.int64)
+    sel = Selection(order, lambda: gather_submatrix(full, order), **dataset_readers(ds))
+    return {spec.key(): MEASURES[spec.kind].prefix(sel, spec) for spec in specs}
+
+
 def test_growth_trackers_match_direct_measures(small_dataset):
     ds = small_dataset
     oracle = TanimotoOracle(ds)
@@ -111,7 +125,7 @@ def test_growth_trackers_match_direct_measures(small_dataset):
         MeasureSpec("dpp"),
         MeasureSpec("circles", {"t": 0.7}),
     ]
-    trackers = _GrowthTrackers(specs)
+    curves = growth_curves(ds, order, specs)
     direct_fns = {
         "diversity": diversity,
         "sum_diversity": sum_diversity,
@@ -120,17 +134,14 @@ def test_growth_trackers_match_direct_measures(small_dataset):
         "bottleneck": bottleneck,
         "sum_bottleneck": sum_bottleneck,
     }
-    for step, idx in enumerate(order):
-        idx = int(idx)
-        values = trackers.add(
-            full[idx, order[:step]], ds.key_codes[idx], ds.label_codes[idx], ds.fragments[idx]
-        )
+    for step in range(len(order)):
+        values = {key: curve[step] for key, curve in curves.items()}
         prefix = [int(i) for i in order[: step + 1]]
         for kind, fn in direct_fns.items():
             assert values[kind] == pytest.approx(fn(prefix, oracle), abs=1e-9), (kind, step)
         assert values["richness"] == richness(prefix, ds)
         assert values["gold_standard"] == len({ds.labels[i] for i in prefix})
-        # Packing tracker equals a single greedy pass in arrival order.
+        # The packing curve equals a single greedy pass in arrival order.
         assert values["circles:t=0.7"] == circles_greedy(prefix, oracle, t=0.7, restarts=1).count
         if step < 12:
             assert values["dpp"] == pytest.approx(dpp(prefix, oracle), abs=1e-9)
@@ -147,13 +158,7 @@ def test_growth_tracker_dpp_freezes_on_duplicates():
             MoleculeRecord("c", Fingerprint.from_bits([0, 1, 0, 1]), "c2"),
         ]
     )
-    trackers = _GrowthTrackers([MeasureSpec("dpp")])
-    full = TanimotoOracle(ds).full_matrix()
-    order = [0, 1, 2]
-    vals = [
-        trackers.add(full[i, order[:k]], ds.key_codes[i], ds.label_codes[i], None)["dpp"]
-        for k, i in enumerate(order)
-    ]
+    vals = growth_curves(ds, [0, 1, 2], [MeasureSpec("dpp")])["dpp"].tolist()
     assert vals == [0.0, 0.0, 0.0]  # singleton, exact duplicate, frozen
 
 
@@ -171,9 +176,8 @@ def test_growth_tracker_dpp_matches_slogdet_of_every_prefix(seed):
         [MoleculeRecord(f"m{i}", Fingerprint.from_bits(row), "c") for i, row in enumerate(bits)]
     )
     full = TanimotoOracle(ds).full_matrix()
-    trackers = _GrowthTrackers([MeasureSpec("dpp")])
-    for k in range(n):
-        value = trackers.add(full[k, :k], ds.key_codes[k], ds.label_codes[k], None)["dpp"]
+    curve = growth_curves(ds, range(n), [MeasureSpec("dpp")])["dpp"]
+    for k, value in enumerate(curve):
         if k == 0:
             assert value == 0.0  # a singleton scores 0
             continue
@@ -181,7 +185,7 @@ def test_growth_tracker_dpp_matches_slogdet_of_every_prefix(seed):
         sign, logdet = np.linalg.slogdet(sims)
         assert value == pytest.approx(sign * np.exp(logdet), rel=1e-10, abs=1e-12), (n, k)
         # A well-conditioned prefix has an accurate determinant at any scale,
-        # so compare logs there, also past the factor buffer's growth points.
+        # so compare logs there, also where the determinant is far below 1.
         if np.linalg.cond(sims) < 1e8:
             assert np.log(value) == pytest.approx(logdet, abs=1e-9), (n, k)
 
@@ -191,12 +195,11 @@ def test_growth_tracker_sums_add_members_in_arrival_order(small_dataset):
     # right, as Python's sum does; a pairwise (numpy) sum moves the last bits.
     full = TanimotoOracle(small_dataset).full_matrix()
     order = [int(i) for i in np.random.default_rng(12).permutation(len(small_dataset))[:60]]
-    trackers = _GrowthTrackers([MeasureSpec("sum_diameter"), MeasureSpec("sum_bottleneck")])
-    for step, idx in enumerate(order):
-        values = trackers.add(
-            full[idx, order[:step]], small_dataset.key_codes[idx],
-            small_dataset.label_codes[idx], None,
-        )
+    curves = growth_curves(
+        small_dataset, order, [MeasureSpec("sum_diameter"), MeasureSpec("sum_bottleneck")]
+    )
+    for step in range(len(order)):
+        values = {key: curve[step] for key, curve in curves.items()}
         if step == 0:
             continue
         prefix = order[: step + 1]
@@ -248,6 +251,54 @@ PINNED_FIXED = {
 def test_protocol_growing_per_run_pinned(small_dataset, bias):
     result = protocol_growing(small_dataset, n=40, bias=bias, seed=3, runs=2)
     assert {s.measure: s.per_run for s in result.stats} == PINNED_GROWING[bias]
+
+
+# sha256 over every curve's bytes (runs in order, keys sorted) of
+# protocol_growing(n=40, seed=3, runs=2), recorded from the per-step trackers
+# the prefix kernels replaced: a curve that moves fails here even where the
+# DTW per_run values above stay equal.
+PINNED_CURVE_DIGESTS = {
+    "uniform": "59bb2a2b9d5d586e669ea593f3035165d0d12e41f4d16de37ad94ab1c609dc6e",
+    "similar": "6158d2408093402b25b30bc89bcad612cb3bd9e41db25d318ead84c76fa9cd9e",
+    "most-similar": "6d947e5e41440008c7abb51ad7d13b56cdb6cb7d499dc6ab204cde7d6e3eb5cf",
+    # uniform, on a fragment-annotated copy, with coverage among the measures
+    "coverage": "1ae23dbab71be5626231d13a396210b4f1f1d212bcf60878184177b755b9e6f5",
+}
+
+
+def curve_digest(result) -> str:
+    h = hashlib.sha256()
+    for curve in result.curves:
+        for key in sorted(curve.values):
+            h.update(curve.values[key].tobytes())
+    return h.hexdigest()
+
+
+def annotated_copy(ds: Dataset) -> Dataset:
+    """The records of ``ds``, each with 1-3 fragments out of f0..f8."""
+    rng = np.random.default_rng(3)
+    return Dataset(
+        MoleculeRecord(
+            ds.ids[i], Fingerprint(ds.width, ds.words[i]), ds.labels[i],
+            frozenset(f"f{k}" for k in rng.choice(9, size=int(rng.integers(1, 4)), replace=False)),
+        )
+        for i in range(len(ds))
+    )
+
+
+@pytest.mark.parametrize("case", list(PINNED_CURVE_DIGESTS))
+def test_protocol_growing_curves_pinned(small_dataset, case):
+    if case in BIAS_MODES:
+        result = protocol_growing(small_dataset, n=40, bias=case, seed=3, runs=2)
+    else:
+        universe = frozenset({"f0", "f2", "f4", "f7"})
+        measures = [
+            "coverage", MeasureSpec("coverage", {"universe": universe}), "dpp", "diversity", "richness",
+        ]
+        result = protocol_growing(
+            annotated_copy(small_dataset), n=40, measures=measures, bias="uniform", seed=3, runs=2
+        )
+    assert curve_digest(result) == PINNED_CURVE_DIGESTS[case]
 
 
 def test_protocol_fixed_per_run_pinned(small_dataset):
