@@ -8,7 +8,10 @@ replay applies the same violation test as the search that found it.
 Checks run on explicit-matrix worlds (random points embedded in the unit
 cube, distances scaled to [0, 1]) so that exact geodesic configurations can
 be constructed, which binary fingerprints cannot realize. A world is its
-distance matrix, and ``world_measure`` reads it directly.
+distance matrix, and ``world_measure`` reads it directly; circles reads the
+world's conflict bitmasks instead, built once per threshold and shared by
+every subset the search packs on that world. A random world is drawn in five
+batched generator calls, whatever its size.
 
 A table runs one subadditivity search for all its measures: each random world
 is drawn once and tested against every measure still open. Each measure still
@@ -19,7 +22,7 @@ of its own would.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -69,6 +72,7 @@ class World:
     matrix: np.ndarray
     keys: list[str]
     fragments: list[frozenset[str]]
+    _conflicts: dict[float, list[int]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.matrix = np.array(self.matrix, dtype=np.float64)
@@ -83,6 +87,12 @@ class World:
         """Per point, a code that points share exactly when their keys are equal."""
         codes: dict[str, int] = {}
         return np.array([codes.setdefault(k, len(codes)) for k in self.keys], dtype=np.int64)
+
+    def conflicts(self, t: float) -> list[int]:
+        """The conflict bitmasks of all points at threshold t, built on first use."""
+        if t not in self._conflicts:
+            self._conflicts[t] = threshold_adjacency(self.matrix, t)
+        return self._conflicts[t]
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -102,41 +112,59 @@ class World:
 
 def world_measure(spec: MeasureSpec, subset, world: World) -> float:
     """Evaluate one measure on a subset of a world's points, taken sorted and
-    without repeats. Circles is always solved exactly here."""
+    without repeats. Circles is always solved exactly here, on the subgraph of
+    the world's conflict bitmasks at t that the subset induces."""
     idx = sorted(int(i) for i in set(subset))
     if not idx:
         return 0.0
 
     def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
-        adj = threshold_adjacency(sel.dmatrix, float(spec.param("t")))
-        return float(max_independent_set(adj)[0]), {}
+        avail = sum(1 << i for i in idx)
+        return float(max_independent_set(world.conflicts(float(spec.param("t"))), avail)[0]), {}
 
     sel = Selection(idx, lambda: gather_submatrix(world.matrix, np.array(idx)), pack,
                     key_codes=lambda i: world.key_codes[i], fragments=world.fragments.__getitem__)
     return MEASURES[spec.kind].batch(sel, spec)[0]
 
 
+_FRAGMENT_POOL = 8
+# Every fragment set a random world can hold, indexed by its bitmask over f0..f7.
+_FRAGMENT_SETS = tuple(
+    frozenset(f"f{k}" for k in range(_FRAGMENT_POOL) if mask >> k & 1)
+    for mask in range(1 << _FRAGMENT_POOL)
+)
+
+
 def random_world(rng: np.random.Generator, size: int, dup_prob: float = 0.15) -> World:
     """Random points in the unit cube (distances scaled into [0, 1]); some
-    points are exact duplicates so uniqueness-sensitive measures get exercised."""
-    pts = np.empty((size, 3))
-    keys: list[str] = []
-    frag_pool = [f"f{k}" for k in range(8)]
-    fragments: list[frozenset[str]] = []
-    for i in range(size):
-        if i > 0 and rng.random() < dup_prob:
-            src = int(rng.integers(0, i))
-            pts[i] = pts[src]
-            keys.append(keys[src])
-            fragments.append(fragments[src])
-        else:
-            pts[i] = rng.random(3)
-            keys.append(f"p{i}")
-            n_frags = int(rng.integers(1, 4))
-            fragments.append(frozenset(rng.choice(frag_pool, size=n_frags, replace=False)))
+    points are exact duplicates so uniqueness-sensitive measures get exercised.
+
+    Point 0 is fresh; each later point is, with probability ``dup_prob``, a
+    copy of a uniformly chosen earlier point (its key ``p{root}``, position
+    and fragments, where root is the fresh point it copies through any chain of
+    copies). Fresh point i has key ``p{i}`` and 1 to 3 distinct fragments drawn
+    uniformly from f0..f7. The whole world takes five batched generator calls.
+    """
+    dup = rng.random(size) < dup_prob
+    # src[0] is 0, so point 0 is its own root whatever its flag.
+    src = (rng.random(size) * np.arange(size)).astype(np.int64).tolist()
+    pts = rng.random((size, 3))
+    n_frags = rng.integers(1, 4, size)
+    # The first n_frags entries of a uniform random permutation are a uniform
+    # subset of that size, drawn without replacement.
+    order = np.argsort(rng.random((size, _FRAGMENT_POOL)), axis=1)
+    masks = np.cumsum(1 << order, axis=1)[np.arange(size), n_frags - 1]
+    root = list(range(size))
+    for i in dup.nonzero()[0].tolist():
+        root[i] = root[src[i]]
+    pts = pts[root]
     diff = pts[:, None, :] - pts[None, :, :]
     matrix = np.sqrt((diff**2).sum(axis=2)) / np.sqrt(3.0)
-    return World(matrix=matrix, keys=keys, fragments=fragments)
+    return World(
+        matrix=matrix,
+        keys=[f"p{r}" for r in root],
+        fragments=[_FRAGMENT_SETS[m] for m in masks[root].tolist()],
+    )
 
 
 @dataclass

@@ -93,13 +93,15 @@ def _clique_cover_bound(avail: int, adj: list[int]) -> int:
     return count
 
 
-def max_independent_set(adj: list[int]) -> tuple[int, int]:
+def max_independent_set(adj: list[int], avail: int | None = None) -> tuple[int, int]:
     """Exact maximum independent set of a conflict graph given as bitmasks.
 
-    Branch and bound: branch on the max-degree vertex, prune with the greedy
-    clique-cover bound. Returns (size, chosen-vertices bitmask).
+    ``avail`` is the bitmask of the vertices to solve on, all of them when
+    None: the result is the maximum independent set of the subgraph they
+    induce, so one graph serves every subset of its points. Branch and bound:
+    branch on the max-degree vertex, prune with the greedy clique-cover bound.
+    Returns (size, chosen-vertices bitmask), the mask a subset of ``avail``.
     """
-    n = len(adj)
     best_size = 0
     best_mask = 0
 
@@ -136,7 +138,7 @@ def max_independent_set(adj: list[int]) -> tuple[int, int]:
             avail &= ~bit
             # Loop continues as the exclude branch.
 
-    expand((1 << n) - 1 if n else 0, 0, 0)
+    expand((1 << len(adj)) - 1 if avail is None else avail, 0, 0)
     return best_size, best_mask
 
 
@@ -177,10 +179,15 @@ def greedy_pack_positions(conflict, *, order) -> list[int]:
 
 def _best_of_k(conflict, n: int, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> list[int]:
     """Best of k sphere-exclusion passes: the first in input order, the rest
-    over seeded random permutations; ties keep the earliest pass."""
+    over seeded random permutations; ties keep the earliest pass. Fewer than
+    one pass is refused, also when there are no points to pass over."""
+    if restarts < 1:
+        raise MeasureParamError(f"circles restarts must be a positive integer, got {restarts!r}")
+    if not n:
+        return []
     rng = np.random.default_rng(seed)
     best: list[int] | None = None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         order = range(n) if restart == 0 else rng.permutation(n).tolist()
         centers = greedy_pack_positions(conflict, order=order)
         if best is None or len(centers) > len(best):
@@ -203,8 +210,6 @@ def circles_greedy(
     it); then the rows are read from that matrix, bit for bit the same.
     """
     idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size == 0:
-        return PackingResult(count=0, centers=(), t=t, mode="greedy", optimal=False)
 
     def conflict(pos: int) -> int:
         return _bitmasks(oracle.row(int(idx[pos]), targets=idx)[None, :] <= t)[0]
@@ -221,10 +226,8 @@ def greedy_pack_count(
 ) -> int:
     """Greedy packing count straight from a precomputed distance matrix; the
     conflict masks are built once and shared by every pass."""
-    n = dmatrix.shape[0]
-    if not n:
-        return 0
-    return len(_best_of_k(threshold_adjacency(dmatrix, t).__getitem__, n, restarts, seed))
+    adj = threshold_adjacency(dmatrix, t)
+    return len(_best_of_k(adj.__getitem__, len(adj), restarts, seed))
 
 
 def circles_auto(

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,8 @@ from chemspace.axioms import (
     replay_counterexample,
     world_measure,
 )
+from chemspace.circles import max_independent_set, threshold_adjacency
+from chemspace.distances import gather_submatrix
 from chemspace.measures import MeasureSpec
 
 SUBADDITIVE_SPECS = [
@@ -158,6 +164,64 @@ def test_random_world_matrices_are_valid_metrics():
         n = m.shape[0]
         for via in range(n):
             assert (m <= m[:, via][:, None] + m[via][None, :] + 1e-12).all()
+
+
+def test_random_world_invariants():
+    pool = {f"f{k}" for k in range(8)}
+    rng = np.random.default_rng(21)
+    duplicates = points = 0
+    for _ in range(3000):
+        world = random_world(rng, size=int(rng.integers(2, 13)))
+        assert world.keys[0] == "p0"
+        for i, key in enumerate(world.keys):
+            root = int(key[1:])
+            assert world.keys[root] == key == f"p{root}"
+            if root == i:
+                assert 1 <= len(world.fragments[i]) <= 3 and world.fragments[i] <= pool
+                continue
+            assert root < i
+            assert world.fragments[i] == world.fragments[root]
+            assert world.matrix[i].tobytes() == world.matrix[root].tobytes()
+            assert world.matrix[i, root] == 0.0
+        duplicates += sum(key != f"p{i}" for i, key in enumerate(world.keys))
+        points += world.n - 1
+    assert abs(duplicates / points - 0.15) <= 0.02
+
+
+def test_random_world_is_a_function_of_the_generator_state():
+    a, b = (random_world(np.random.default_rng(8), 12, dup_prob=0.4) for _ in range(2))
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert a.keys == b.keys and a.fragments == b.fragments
+
+
+@pytest.mark.parametrize("size", [9, 8, 6, 4])
+def test_world_circles_equals_the_solver_on_each_thresholded_submatrix(size):
+    world = random_world(np.random.default_rng(size), size, dup_prob=0.3)
+    for t in (0.2, 0.5, 0.8):
+        spec = MeasureSpec("circles", {"t": t})
+        for k in range(1, size + 1):
+            for subset in combinations(range(size), k):
+                sub = gather_submatrix(world.matrix, np.array(subset))
+                expected = max_independent_set(threshold_adjacency(sub, t))[0]
+                assert world_measure(spec, subset, world) == expected, (t, subset)
+
+
+# sha256 of the three seeds' ``json.dumps(quadrant_table(trials, seed),
+# sort_keys=True)``, one per line, recorded when worlds were still drawn point
+# by point. Every refuted default spec is refuted by its construction, before
+# any random world, so how worlds are drawn does not reach these tables.
+QUADRANT_TABLE_DIGESTS = {
+    300: "dd950a50b97bd36cd89c20d9b654c3943bcca46e4d5f90fd9c305b3c649abce7",
+    1000: "bd9c0a61fd926a7947276e98e6e4fdd0979fd99719851176f09be142adce0262",
+}
+
+
+@pytest.mark.parametrize("trials", sorted(QUADRANT_TABLE_DIGESTS))
+def test_quadrant_table_pinned(trials):
+    blob = "\n".join(
+        json.dumps(quadrant_table(trials, seed), sort_keys=True) for seed in range(3)
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == QUADRANT_TABLE_DIGESTS[trials]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

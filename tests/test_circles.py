@@ -12,7 +12,7 @@ from chemspace.circles import (
     threshold_adjacency,
 )
 from chemspace.distances import MatrixOracle, TanimotoOracle
-from chemspace.errors import MeasureSizeError
+from chemspace.errors import MeasureParamError, MeasureSizeError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
 from chemspace.measures import MEASURES, MeasureSpec, Selection, richness
 
@@ -316,3 +316,54 @@ def test_every_pass_goes_through_the_module_function(monkeypatch):
     assert len(passes) == 8
     assert all(len(order) == 30 for order, _ in passes)
     assert passes[0][0] == list(range(30)) == passes[5][0]
+
+
+def brute_force_mis(adj, avail):
+    """Largest independent subset of ``avail``, by trying every submask."""
+    best = 0
+    sub = avail
+    while True:
+        members = [v for v in range(len(adj)) if sub >> v & 1]
+        if all(adj[v] & sub == 0 for v in members):
+            best = max(best, len(members))
+        if sub == 0:
+            return best
+        sub = (sub - 1) & avail
+
+
+def induced_adjacency(adj, avail):
+    """The conflict masks of the subgraph ``avail`` induces, re-indexed 0..k-1."""
+    keep = [v for v in range(len(adj)) if avail >> v & 1]
+    return [sum(1 << b for b, u in enumerate(keep) if adj[v] >> u & 1) for v in keep]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_masked_mis_matches_brute_force_and_reindexed_graph(n):
+    rng = np.random.default_rng(300 + n)
+    for density in (0.2, 0.5, 0.8):
+        m = rng.random((n, n))
+        adj = threshold_adjacency(np.minimum(m, m.T), density)
+        assert max_independent_set(adj, (1 << n) - 1) == max_independent_set(adj)
+        for avail in range(1 << n):
+            size, mask = max_independent_set(adj, avail)
+            assert mask & ~avail == 0
+            assert mask.bit_count() == size
+            assert all(adj[v] & mask == 0 for v in range(n) if mask >> v & 1)
+            assert size == brute_force_mis(adj, avail)
+            assert size == max_independent_set(induced_adjacency(adj, avail))[0]
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_greedy_refuses_fewer_than_one_restart(restarts):
+    d = np.array([[0.0, 0.9, 0.2], [0.9, 0.0, 0.8], [0.2, 0.8, 0.0]])
+    message = f"circles restarts must be a positive integer, got {restarts}"
+    with pytest.raises(MeasureParamError, match=message):
+        greedy_pack_count(d, 0.5, restarts=restarts)
+    with pytest.raises(MeasureParamError, match=message):
+        circles_greedy(range(3), MatrixOracle(d), 0.5, restarts=restarts)
+    # An empty set is no exception to the check.
+    with pytest.raises(MeasureParamError, match=message):
+        greedy_pack_count(np.zeros((0, 0)), 0.5, restarts=restarts)
+    with pytest.raises(MeasureParamError, match=message):
+        circles_greedy([], MatrixOracle(d), 0.5, restarts=restarts)
+    assert greedy_pack_count(d, 0.5, restarts=1) == 2
