@@ -4,7 +4,8 @@ Both oracle flavors answer row and submatrix queries over a fixed point set,
 and are read-only after construction. A Tanimoto oracle computes each query
 with the popcount kernels until ``full_matrix()`` has built and cached the
 whole matrix; from then on it answers rows and submatrices from that matrix,
-whose rows equal the kernel rows bit for bit.
+whose rows equal the kernel rows bit for bit. The full matrix is built from
+the row strips at and right of the diagonal, each mirrored below it.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ def pairwise_tanimoto(
 ) -> np.ndarray:
     """Full pairwise Tanimoto distance matrix from packed fingerprints.
 
-    The rows are unpacked once to a 0/1 float matrix, and each block of rows
-    gets its intersection counts as one BLAS product with the whole matrix.
-    The counts are exact integers, and the final ``1 - inter / union`` is the
-    same float64 arithmetic as ``tanimoto_from_row``, so the two agree bit for
+    The rows are unpacked once to a 0/1 float matrix. Each block of rows gets
+    the intersection counts of its strip at and right of the diagonal as one
+    BLAS product, and the strip below the block is its mirror, so about half
+    the full product is taken. The counts are exact integers and
+    ``p_i + p_j - x`` does not depend on the order of ``i`` and ``j``, so the
+    matrix is exactly symmetric, and the final ``1 - inter / union`` is the
+    same float64 arithmetic as ``tanimoto_from_row``: the two agree bit for
     bit. Two empty rows are at distance 0.
     """
     n = words.shape[0]
@@ -71,10 +75,14 @@ def pairwise_tanimoto(
     out = np.empty((n, n), dtype=np.float64)
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)
-        inter = bits[start:stop] @ bits.T
-        union = pops[start:stop, None] + pops[None, :] - inter
-        ratio = np.divide(inter, union, out=np.ones_like(union), where=union > 0)
-        np.subtract(1.0, ratio, out=out[start:stop])
+        inter = bits[start:stop] @ bits[start:].T
+        union = pops[start:stop, None] + pops[None, start:] - inter
+        strip = np.divide(inter, union, out=np.ones_like(union), where=union > 0)
+        np.subtract(1.0, strip, out=strip)
+        out[start:stop, start:] = strip
+        # Mirrored from the strip, not from ``out``: a copy within one array
+        # would go through a temporary.
+        out[stop:, start:stop] = strip[:, stop - start :].T
     return out
 
 
@@ -173,12 +181,14 @@ def _validate_metric(matrix: np.ndarray) -> None:
         raise MatrixValidationError(
             f"asymmetric entries at ({i},{j}): {matrix[i, j]} vs {matrix[j, i]}", indices=(i, j)
         )
-    # Triangle inequality: d(i,k) <= d(i,via) + d(via,k) for every via.
+    # Triangle inequality: d(i,k) <= d(i,via) + d(via,k) for every via. The
+    # slack goes into one buffer, and only a failing via is searched.
+    slack = np.empty_like(matrix)
     for via in range(n):
-        slack = matrix - (matrix[:, via][:, None] + matrix[via][None, :])
-        viol = np.argwhere(slack > TRIANGLE_TOL)
-        if viol.size:
-            i, k = map(int, viol[0])
+        np.add(matrix[:, via][:, None], matrix[via][None, :], out=slack)
+        np.subtract(matrix, slack, out=slack)
+        if slack.max() > TRIANGLE_TOL:
+            i, k = map(int, np.argwhere(slack > TRIANGLE_TOL)[0])
             raise MatrixValidationError(
                 f"triangle violation at ({i},{via},{k}): "
                 f"d({i},{k})={matrix[i, k]} > d({i},{via})+d({via},{k})="

@@ -8,7 +8,10 @@ the most significant bit of the first hex digit / the first character of a
 
 A loaded ``Dataset`` is columns: ``ids``, ``words``, ``popcounts``, ``labels``,
 ``fragments``, ``classes`` and ``label_codes``, plus ``key_codes``, built on
-first use. It keeps no ``MoleculeRecord``.
+first use. It keeps no ``MoleculeRecord``. ``load_dataset`` splits a file
+into those columns in one pass, checks and decodes the fingerprint column in
+bulk, a block of rows at a time, and hands it to ``Dataset.from_columns``;
+no per-line object is kept.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DatasetFormatError, DimensionMismatchError
 
-_HEX_CHARS = frozenset("0123456789abcdef")
+_HEX_DIGITS = "0123456789abcdef"
+_HEX_CHARS = frozenset(_HEX_DIGITS)
+_DECODE_ROWS = 256  # rows per block when a loaded column is checked and decoded
 
 
 def _as_words(packed: np.ndarray) -> np.ndarray:
@@ -151,24 +156,51 @@ class Dataset:
 
     def __init__(self, records: Iterable[MoleculeRecord]):
         records = list(records)
-        seen: set[str] = set()
-        for rec in records:
-            if rec.id in seen:
-                raise DatasetFormatError(f"duplicate record id: {rec.id!r}")
-            seen.add(rec.id)
         widths = {rec.fp.width for rec in records}
         if len(widths) > 1:
             raise DatasetFormatError(f"inconsistent fingerprint widths: {sorted(widths)}")
-        self.width: int = widths.pop() if widths else 0
-        n_words = words_per_fingerprint(self.width) if records else 0
-        self.ids = tuple(rec.id for rec in records)
-        self.words = np.array([rec.fp.words for rec in records], dtype=np.uint64)
-        self.words = self.words.reshape(len(records), n_words)
+        width = widths.pop() if widths else 0
+        words = np.array([rec.fp.words for rec in records], dtype=np.uint64)
+        self._set_columns(
+            tuple(rec.id for rec in records),
+            width,
+            words.reshape(len(records), words_per_fingerprint(width)),
+            tuple(rec.label for rec in records),
+            tuple(rec.fragments for rec in records),
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        width: int,
+        words: np.ndarray,
+        labels: Sequence[str | None],
+        fragments: Sequence[frozenset[str] | None],
+    ) -> "Dataset":
+        """A dataset from its columns: ``words`` is the packed (n, words) uint64
+        matrix of fingerprints ``width`` bits wide, one row per id. Refuses a
+        repeated id, as ``Dataset(records)`` does."""
+        dataset = cls.__new__(cls)
+        dataset._set_columns(tuple(ids), width, words, tuple(labels), tuple(fragments))
+        return dataset
+
+    def _set_columns(self, ids, width, words, labels, fragments) -> None:
+        if words.dtype != np.uint64 or words.shape != (len(ids), words_per_fingerprint(width)):
+            raise ValueError("words array does not match ids and fingerprint width")
+        seen: set[str] = set()
+        for rec_id in ids:
+            if rec_id in seen:
+                raise DatasetFormatError(f"duplicate record id: {rec_id!r}")
+            seen.add(rec_id)
+        self.width: int = width
+        self.ids = ids
+        self.words = words
         self.words.setflags(write=False)
         self.popcounts = np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
         self.popcounts.setflags(write=False)
-        self.labels = tuple(rec.label for rec in records)
-        self.fragments = tuple(rec.fragments for rec in records)
+        self.labels = labels
+        self.fragments = fragments
         self.classes = tuple(dict.fromkeys(label for label in self.labels if label is not None))
         codes = {label: c for c, label in enumerate(self.classes)}
         self.label_codes = np.array([codes.get(label, -1) for label in self.labels], dtype=np.int64)
@@ -206,46 +238,102 @@ def _width_mismatch(
     return message
 
 
+def _decode_column(texts: list[str]) -> tuple[int, np.ndarray] | None:
+    """Width and packed (n, words) uint64 rows of a fingerprint column, read
+    as ``Fingerprint.parse`` reads each text; None when a text is not a
+    fingerprint or its width differs from the first text's.
+
+    The column is checked and decoded in blocks of rows, so the temporaries
+    stay small beside the column: per block, one alphabet test over the
+    joined text, the 0/1 rule per row and one width, then one
+    ``bytes.fromhex`` for its hex rows and one ``packbits`` for its
+    bit-string rows.
+    """
+    first = texts[0] if texts else ""
+    width = len(first) if not first.strip("01") else 4 * len(first)
+    n_bytes = (width + 7) // 8
+    pad = "0" * (width // 4 % 2)  # an odd digit count ends in a zero nibble
+    buf = np.zeros((len(texts), words_per_fingerprint(width) * 8), dtype=np.uint8)
+    for start in range(0, len(texts), _DECODE_ROWS):
+        block = texts[start : start + _DECODE_ROWS]
+        if not all(block) or "".join(block).encode().translate(None, _HEX_DIGITS.encode()):
+            return None
+        is_bits = np.array([not text.strip("01") for text in block])
+        lengths = np.array([len(text) for text in block])
+        if (np.where(is_bits, lengths, 4 * lengths) != width).any():
+            return None
+        rows = buf[start : start + len(block), :n_bytes]
+        hexes = [text for text, bits in zip(block, is_bits) if not bits]
+        if hexes:
+            packed = np.frombuffer(bytes.fromhex(pad.join(hexes) + pad), dtype=np.uint8)
+            rows[~is_bits] = packed.reshape(len(hexes), n_bytes)
+        if len(hexes) < len(block):
+            joined = "".join(text for text, bits in zip(block, is_bits) if bits).encode()
+            digits = np.frombuffer(joined, dtype=np.uint8).reshape(-1, width) - ord("0")
+            rows[is_bits] = np.packbits(digits, axis=1)
+    return width, buf.view(np.uint64)
+
+
+def _lines(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Line number and fields of each record line: not blank, not a comment."""
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip() and not line.startswith("#"):
+                yield lineno, line.rstrip("\n").split("\t")
+
+
+def _first_bad_line(path: Path) -> DatasetFormatError:
+    """The error of the first line, in file order, whose fields or fingerprint
+    break the format."""
+    first: tuple[int, str, int] | None = None  # line, text and width of the first record
+    for lineno, fields in _lines(path):
+        if len(fields) < 2:
+            return DatasetFormatError(f"{path}:{lineno}: expected at least id and fingerprint")
+        try:
+            fp = Fingerprint.parse(fields[1])
+        except (DatasetFormatError, ValueError) as exc:
+            return DatasetFormatError(f"{path}:{lineno}: {exc}")
+        if first is None:
+            first = (lineno, fields[1], fp.width)
+        elif fp.width != first[2]:
+            return DatasetFormatError(f"{path}:{lineno}: {_width_mismatch(fields[1], fp.width, *first)}")
+    raise AssertionError("every line is well formed")
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load a TSV dataset: ``id<TAB>fingerprint<TAB>[label]<TAB>[fragments]``.
 
     Fingerprints are lowercase hex or 0/1 strings; fragments are a
     comma-separated list; lines starting with ``#`` are comments. Empty label
     or fragment fields are treated as absent.
+
+    One pass over the file splits the record lines into columns; the
+    fingerprint column is then checked and decoded in bulk, and
+    ``Dataset.from_columns`` takes the result, so no per-line object is
+    kept. Only when a check fails is the file scanned again for its first
+    bad line, so each error names ``path:lineno``.
     """
     path = Path(path)
-    records: list[MoleculeRecord] = []
-    first: tuple[int, str] = (0, "")  # line and fingerprint text of the first record
+    ids, texts, labels, fragments = [], [], [], []
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) < 2:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: expected at least id and fingerprint"
-                    )
-                rec_id, fp_text = fields[0], fields[1]
-                try:
-                    fp = Fingerprint.parse(fp_text)
-                except (DatasetFormatError, ValueError) as exc:
-                    raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-                if not records:
-                    first = (lineno, fp_text)
-                elif fp.width != records[0].fp.width:
-                    why = _width_mismatch(fp_text, fp.width, *first, records[0].fp.width)
-                    raise DatasetFormatError(f"{path}:{lineno}: {why}")
-                label = fields[2] if len(fields) > 2 and fields[2] != "" else None
-                fragments = None
-                if len(fields) > 3 and fields[3] != "":
-                    fragments = frozenset(f for f in fields[3].split(",") if f)
-                records.append(MoleculeRecord(id=rec_id, fp=fp, label=label, fragments=fragments))
+        for _, fields in _lines(path):
+            if len(fields) < 2:
+                raise _first_bad_line(path)
+            ids.append(fields[0])
+            texts.append(fields[1])
+            labels.append(fields[2] if len(fields) > 2 and fields[2] != "" else None)
+            fragments.append(
+                frozenset(f for f in fields[3].split(",") if f)
+                if len(fields) > 3 and fields[3] != ""
+                else None
+            )
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    decoded = _decode_column(texts)
+    if decoded is None:
+        raise _first_bad_line(path)
     try:
-        return Dataset(records)
+        return Dataset.from_columns(ids, *decoded, labels, fragments)
     except DatasetFormatError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 

@@ -367,6 +367,8 @@ ONE_LINE_ERRORS = {
         "mixed.tsv:2: width 16 differs from width 4 of the first record, line 1; "
         "text of only 0/1 digits ('0110') is read as a bit string, not hex",
     ),
+    "measure-short-line": ("measure --in {tmp}/short.tsv --measures richness", "short.tsv:2: expected at least id and fingerprint"),
+    "measure-duplicate-id": ("measure --in {tmp}/dup.tsv --measures richness", "dup.tsv: duplicate record id: 'm1'"),
 }
 
 
@@ -375,6 +377,8 @@ def test_user_errors_exit_with_one_line(case, synthetic_tsv, tmp_path, capsys):
     (tmp_path / "empty.tsv").write_text("# no records\n")
     (tmp_path / "latin1.tsv").write_bytes(b"m1\tff\tcaf\xe9\n")
     (tmp_path / "mixed.tsv").write_text("a\t0110\tc1\nb\tff01\tc1\n")
+    (tmp_path / "short.tsv").write_text("m1\tff\nm2\n")
+    (tmp_path / "dup.tsv").write_text("m1\tff\nm2\t0f\nm1\tf0\n")
     command, names = ONE_LINE_ERRORS[case]
     assert run_cli(command.format(data=synthetic_tsv, tmp=tmp_path).split()) == 1
     err = capsys.readouterr().err

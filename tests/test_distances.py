@@ -149,6 +149,7 @@ def test_pairwise_bytes_equal_stacked_rows(width, n, density, empty, block_rows,
     ds = make_dataset(random_rows(seed, n, width, density, empty))
     full = pairwise_tanimoto(ds.words, ds.popcounts, block_rows=block_rows)
     assert full.tobytes() == stacked_rows(ds).tobytes()
+    assert full.tobytes() == full.T.tobytes()
 
 
 def test_pairwise_bytes_equal_stacked_rows_sparse_2048_bits():
@@ -232,6 +233,40 @@ def test_matrix_oracle_triangle_violation_names_triple():
     with pytest.raises(MatrixValidationError) as err:
         MatrixOracle(m)
     assert err.value.indices == (0, 1, 2)
+
+
+def euclidean_with_planted_pair(seed, i, k, n=12):
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 3))
+    m = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+    m /= m.max()
+    m[i, k] = m[k, i] = 1.0
+    return m
+
+
+def planted_short_cut():
+    m = np.full((6, 6), 0.5)
+    np.fill_diagonal(m, 0.0)
+    m[2, 4] = m[4, 2] = 1.0
+    m[2, 3] = m[3, 2] = 0.25
+    return m
+
+
+@pytest.mark.parametrize(
+    "matrix, triple, message",
+    [
+        (planted_short_cut(), (2, 3, 4), "d(2,4)=1.0 > d(2,3)+d(3,4)=0.75"),
+        (euclidean_with_planted_pair(0, 1, 7), (1, 2, 7), "d(1,7)=1.0 > d(1,2)+d(2,7)=0.9264605867733366"),
+        (euclidean_with_planted_pair(5, 0, 11), (0, 1, 11), "d(0,11)=1.0 > d(0,1)+d(1,11)=0.9097736781086738"),
+        (euclidean_with_planted_pair(9, 4, 9), (4, 6, 9), "d(4,9)=1.0 > d(4,6)+d(6,9)=0.8291864433647369"),
+    ],
+)
+def test_matrix_oracle_reports_first_triangle_violation(matrix, triple, message):
+    # The first violating via, then the first (i, k) in row-major order.
+    with pytest.raises(MatrixValidationError) as err:
+        MatrixOracle(matrix)
+    assert err.value.indices == triple
+    assert str(err.value) == "triangle violation at ({},{},{}): ".format(*triple) + message
 
 
 def test_matrix_oracle_rejects_asymmetry():

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chemspace import fingerprints
 from chemspace.errors import DatasetFormatError
 from chemspace.fingerprints import (
     Dataset,
@@ -172,3 +175,141 @@ def test_dataset_keeps_columns_only():
     assert Fingerprint(ds.width, ds.words[1]) == records[1].fp
     assert ds.popcounts.tolist() == [8, 9]
     assert not ds.words.flags.writeable and not ds.label_codes.flags.writeable
+
+
+HEX_DIGITS = "0123456789abcdef"
+# Field text: no tab, newline or carriage return; includes non-ASCII letters.
+FIELD_ALPHABET = "abcXYZ09_-. é中"
+
+
+def expected_label(field):
+    return field if field else None
+
+
+def expected_fragments(field):
+    return frozenset(f for f in field.split(",") if f) if field else None
+
+
+@st.composite
+def tsv_files(draw):
+    """A well-formed dataset file as text, and the records it must load as."""
+    width = draw(st.integers(1, 80))
+    kinds = ["bits", "hex"] if width % 4 == 0 else ["bits"]
+    hex_text = st.text(HEX_DIGITS, min_size=width // 4, max_size=width // 4).filter(
+        lambda t: set(t) - {"0", "1"}  # all-0/1 text would read as a bit string
+    )
+    bit_text = st.text("01", min_size=width, max_size=width)
+    ids = draw(
+        st.lists(st.text(FIELD_ALPHABET, min_size=1, max_size=6), max_size=12, unique=True)
+    )
+    lines, records = [], []
+    for rec_id in ids:
+        lines += draw(
+            st.lists(
+                st.sampled_from(["", "   ", " \t ", "# comment", "#\tx\t" + "f" * 3]), max_size=2
+            )
+        )
+        kind = draw(st.sampled_from(kinds))
+        fp_text = draw(hex_text if kind == "hex" else bit_text)
+        fields = [rec_id, fp_text]
+        label = draw(st.none() | st.text(FIELD_ALPHABET + ",", max_size=5))
+        fragments = draw(st.none() | st.lists(st.sampled_from(["", "fa", "fb", "é"]), max_size=3))
+        if label is not None or fragments is not None:
+            fields.append(label or "")
+        if fragments is not None:
+            fields.append(",".join(fragments))
+        lines.append("\t".join(fields))
+        records.append(
+            MoleculeRecord(
+                rec_id,
+                Fingerprint.parse(fp_text),
+                expected_label(label),
+                expected_fragments(",".join(fragments) if fragments is not None else None),
+            )
+        )
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # the last line without a line end
+    return text, records
+
+
+def assert_same_columns(got, want):
+    assert got.width == want.width
+    assert got.ids == want.ids
+    assert got.words.shape == want.words.shape and got.words.dtype == want.words.dtype == np.uint64
+    assert got.words.tobytes() == want.words.tobytes()
+    assert got.popcounts.dtype == want.popcounts.dtype
+    assert got.popcounts.tobytes() == want.popcounts.tobytes()
+    assert got.labels == want.labels
+    assert got.fragments == want.fragments
+    assert got.classes == want.classes
+    assert got.label_codes.tobytes() == want.label_codes.tobytes()
+    for col in (got.words, got.popcounts, got.label_codes):
+        assert not col.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(tsv_files(), st.integers(1, 5))
+def test_load_dataset_columns_equal_record_built_dataset(tmp_path_factory, file, block_rows):
+    # Small decode blocks put block boundaries inside these short files.
+    text, records = file
+    path = tmp_path_factory.mktemp("tsv") / "db.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(fingerprints, "_DECODE_ROWS", block_rows):
+        assert_same_columns(load_dataset(path), Dataset(records))
+
+
+def test_from_columns_equals_record_built_dataset():
+    records = [
+        MoleculeRecord("a", Fingerprint.from_hex("f0f"), "c1", frozenset({"x"})),
+        MoleculeRecord("b", Fingerprint.from_bitstring("0110" * 3), None, None),
+    ]
+    want = Dataset(records)
+    got = Dataset.from_columns(want.ids, want.width, want.words.copy(), want.labels, want.fragments)
+    assert_same_columns(got, want)
+    with pytest.raises(DatasetFormatError, match="duplicate record id: 'a'"):
+        Dataset.from_columns(("a", "a"), want.width, want.words.copy(), want.labels, want.fragments)
+
+
+# Each message as the per-line loader worded it; {path} is the file.
+INGESTION_ERRORS = {
+    "bad-hex-character": (
+        "m1\tff\tc\nm2\tfg\tc\n",
+        "{path}:2: not a lowercase hex fingerprint: 'fg'",
+    ),
+    "upper-case-hex-after-comment": ("# c\nm1\tff\nm2\tFF\n", "{path}:3: not a lowercase hex fingerprint: 'FF'"),
+    "non-ascii-fingerprint": ("m1\tff\nm2\tfé\n", "{path}:2: not a lowercase hex fingerprint: 'fé'"),
+    "empty-fingerprint": ("m1\tff\nm2\t\tc\n", "{path}:2: not a 0/1 fingerprint string: ''"),
+    "only-empty-fingerprints": ("m1\t\tc\nm2\t\n", "{path}:1: not a 0/1 fingerprint string: ''"),
+    "hex-width-mismatch": (
+        "m1\tff\n\nm2\tfff\n",
+        "{path}:3: width 12 differs from width 8 of the first record, line 1",
+    ),
+    "bit-string-before-hex": (
+        "a\t0110\tc1\nb\tff01\tc1\n",
+        "{path}:2: width 16 differs from width 4 of the first record, line 1; "
+        "text of only 0/1 digits ('0110') is read as a bit string, not hex",
+    ),
+    "hex-before-bit-string": (
+        "a\tff01\tc1\nb\t0110\tc1\n",
+        "{path}:2: width 4 differs from width 16 of the first record, line 1; "
+        "text of only 0/1 digits ('0110') is read as a bit string, not hex",
+    ),
+    "first-bad-line-wins": ("m1\tff\nm2\tfff\nm3\n", "{path}:2: width 12 differs from width 8 of the first record, line 1"),
+    "short-line": ("m1\tff\nm2\n", "{path}:2: expected at least id and fingerprint"),
+    "duplicate-id": ("m1\tff\nm2\t0f\nm1\tf0\n", "{path}: duplicate record id: 'm1'"),
+    "non-utf8": (b"m1\tff\tcaf\xe9\n", "{path}: not UTF-8 text (invalid continuation byte)"),
+}
+
+
+@pytest.mark.parametrize("case", list(INGESTION_ERRORS))
+def test_ingestion_error_messages(case, tmp_path):
+    content, message = INGESTION_ERRORS[case]
+    path = tmp_path / "db.tsv"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    for block_rows in (1, fingerprints._DECODE_ROWS):
+        with mock.patch.object(fingerprints, "_DECODE_ROWS", block_rows):
+            with pytest.raises(DatasetFormatError) as err:
+                load_dataset(path)
+        assert str(err.value) == message.format(path=path)
