@@ -8,15 +8,17 @@ replay applies the same violation test as the search that found it.
 Checks run on explicit-matrix worlds (random points embedded in the unit
 cube, distances scaled to [0, 1]) so that exact geodesic configurations can
 be constructed, which binary fingerprints cannot realize. A world is its
-distance matrix, and ``world_measure`` reads it directly; circles reads the
+distance matrix, and ``world_selection`` reads it directly; circles reads the
 world's conflict bitmasks instead, built once per threshold and shared by
-every subset the search packs on that world. A random world is drawn in five
-batched generator calls, whatever its size.
+every subset the search packs on that world. A random world of n points is
+read from one draw of 14·n uniforms, and its split from one draw of n.
 
 A table runs one subadditivity search for all its measures: each random world
-is drawn once and tested against every measure still open. Each measure still
-sees ``trials`` candidates, its own constructions first, exactly as a search
-of its own would.
+is drawn once and tested against every measure still open. The search builds
+one selection for each of S1, S2 and S1 | S2 and reads every open measure
+from those three; ``world_measure`` builds the same selection for one subset.
+Each measure still sees ``trials`` candidates, its own constructions first,
+exactly as a search of its own would.
 """
 
 from __future__ import annotations
@@ -110,24 +112,31 @@ class World:
         )
 
 
-def world_measure(spec: MeasureSpec, subset, world: World) -> float:
-    """Evaluate one measure on a subset of a world's points, taken sorted and
-    without repeats. Circles is always solved exactly here, on the subgraph of
-    the world's conflict bitmasks at t that the subset induces."""
-    idx = sorted(int(i) for i in set(subset))
-    if not idx:
-        return 0.0
+def world_selection(world: World, idx: list[int]) -> Selection:
+    """The selection of a world's points ``idx`` (sorted, without repeats).
+
+    Its submatrix is gathered on first use and shared by every distance
+    measure read from it. Circles is always solved exactly here, on the
+    subgraph of the world's conflict bitmasks at t that the points induce.
+    """
+    avail = sum(1 << i for i in idx)
 
     def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
-        avail = sum(1 << i for i in idx)
         return float(max_independent_set(world.conflicts(float(spec.param("t"))), avail)[0]), {}
 
-    sel = Selection(idx, lambda: gather_submatrix(world.matrix, np.array(idx)), pack,
-                    key_codes=lambda i: world.key_codes[i], fragments=world.fragments.__getitem__)
-    return MEASURES[spec.kind].batch(sel, spec)[0]
+    return Selection(idx, lambda: gather_submatrix(world.matrix, np.array(idx)), pack,
+                     key_codes=lambda i: world.key_codes[i], fragments=world.fragments.__getitem__)
+
+
+def world_measure(spec: MeasureSpec, subset, world: World) -> float:
+    """Evaluate one measure on a subset of a world's points, taken sorted and
+    without repeats; 0.0 on the empty subset."""
+    idx = sorted(int(i) for i in set(subset))
+    return MEASURES[spec.kind].batch(world_selection(world, idx), spec)[0] if idx else 0.0
 
 
 _FRAGMENT_POOL = 8
+_FRAGMENT_BITS = tuple(1 << k for k in range(_FRAGMENT_POOL))
 # Every fragment set a random world can hold, indexed by its bitmask over f0..f7.
 _FRAGMENT_SETS = tuple(
     frozenset(f"f{k}" for k in range(_FRAGMENT_POOL) if mask >> k & 1)
@@ -143,27 +152,31 @@ def random_world(rng: np.random.Generator, size: int, dup_prob: float = 0.15) ->
     copy of a uniformly chosen earlier point (its key ``p{root}``, position
     and fragments, where root is the fresh point it copies through any chain of
     copies). Fresh point i has key ``p{i}`` and 1 to 3 distinct fragments drawn
-    uniformly from f0..f7. The whole world takes five batched generator calls.
+    uniformly from f0..f7. The whole world is read from one draw of
+    ``14 * size`` uniforms: per point a duplicate flag, a source, three
+    coordinates, a fragment count and eight keys that order the fragments.
     """
-    dup = rng.random(size) < dup_prob
-    # src[0] is 0, so point 0 is its own root whatever its flag.
-    src = (rng.random(size) * np.arange(size)).astype(np.int64).tolist()
-    pts = rng.random((size, 3))
-    n_frags = rng.integers(1, 4, size)
-    # The first n_frags entries of a uniform random permutation are a uniform
-    # subset of that size, drawn without replacement.
-    order = np.argsort(rng.random((size, _FRAGMENT_POOL)), axis=1)
-    masks = np.cumsum(1 << order, axis=1)[np.arange(size), n_frags - 1]
+    u = rng.random(14 * size)
+    flags, sources = u[:size].tolist(), u[size : 2 * size].tolist()
+    # Point 0 is fresh whatever its flag.
     root = list(range(size))
-    for i in dup.nonzero()[0].tolist():
-        root[i] = root[src[i]]
-    pts = pts[root]
+    for i in range(1, size):
+        if flags[i] < dup_prob:
+            root[i] = root[int(sources[i] * i)]
+    pts = u[2 * size : 5 * size].reshape(size, 3)[root]
+    # The first k entries of a uniform random permutation are a uniform
+    # k-subset, drawn without replacement; k is 1 + floor(3u).
+    order = np.argsort(u[6 * size :].reshape(size, _FRAGMENT_POOL), axis=1).tolist()
+    masks = [
+        sum(map(_FRAGMENT_BITS.__getitem__, row[: int(3 * x) + 1]))
+        for row, x in zip(order, u[5 * size : 6 * size].tolist())
+    ]
     diff = pts[:, None, :] - pts[None, :, :]
     matrix = np.sqrt((diff**2).sum(axis=2)) / np.sqrt(3.0)
     return World(
         matrix=matrix,
         keys=[f"p{r}" for r in root],
-        fragments=[_FRAGMENT_SETS[m] for m in masks[root].tolist()],
+        fragments=[_FRAGMENT_SETS[masks[r]] for r in root],
     )
 
 
@@ -224,21 +237,29 @@ def _refuted(
     return CheckResult(spec.key(), check, False, trial_no, seed, ce, note)
 
 
+def _subadditivity_side(
+    v1: float, v2: float, vu: float, tol: float
+) -> tuple[str, dict[str, float]] | None:
+    """The side of max(mu(S1), mu(S2)) <= mu(S1 | S2) <= mu(S1) + mu(S2) that
+    the values break by more than tol, with the three values; None if neither."""
+    if vu < max(v1, v2) - tol:
+        side = "lower"
+    elif vu > v1 + v2 + tol:
+        side = "upper"
+    else:
+        return None
+    return side, {"mu_s1": v1, "mu_s2": v2, "mu_union": vu}
+
+
 def _subadditivity_violation(
     spec: MeasureSpec, world: World, s1, s2, tol: float = TOLERANCE
 ) -> tuple[str, dict[str, float]] | None:
-    """The side of max(mu(S1), mu(S2)) <= mu(S1 | S2) <= mu(S1) + mu(S2) that
-    the pair breaks by more than tol, with the three values; None if neither."""
+    """``_subadditivity_side`` of the pair's three values on the world."""
     union = sorted(set(s1) | set(s2))
-    v1 = world_measure(spec, s1, world)
-    v2 = world_measure(spec, s2, world)
-    vu = world_measure(spec, union, world)
-    values = {"mu_s1": v1, "mu_s2": v2, "mu_union": vu}
-    if vu < max(v1, v2) - tol:
-        return "lower", values
-    if vu > v1 + v2 + tol:
-        return "upper", values
-    return None
+    return _subadditivity_side(
+        world_measure(spec, s1, world), world_measure(spec, s2, world),
+        world_measure(spec, union, world), tol,
+    )
 
 
 def _dissimilarity_violation(
@@ -307,23 +328,25 @@ def _seed_worlds(kind: str) -> list[tuple[str, World, list[int], list[int]]]:
 def _random_split(rng: np.random.Generator) -> tuple[World, list[int], list[int]]:
     """A random world of 2 to 12 points and two random, possibly overlapping sets."""
     world = random_world(rng, size=int(rng.integers(2, 13)))
-    roles = rng.integers(0, 4, size=world.n)  # 0: neither, 1: s1, 2: s2, 3: both
-    s1 = [i for i in range(world.n) if roles[i] in (1, 3)]
-    s2 = [i for i in range(world.n) if roles[i] in (2, 3)]
+    # Role bit 0 puts a point in S1 and bit 1 in S2: neither, S1, S2 or both.
+    roles = (4 * rng.random(world.n)).astype(np.int64).tolist()
+    s1 = [i for i, role in enumerate(roles) if role & 1]
+    s2 = [i for i, role in enumerate(roles) if role & 2]
     return world, s1, s2
 
 
-def _subadditivity_hit(
-    spec: MeasureSpec, trial_no: int, description: str, world: World, s1, s2, tol: float,
-    seed: int,
-) -> CheckResult | None:
-    """The refuted result when candidate ``trial_no`` violates subadditivity; None if not."""
-    hit = _subadditivity_violation(spec, world, s1, s2, tol)
-    if hit is None:
-        return None
-    return _refuted(
-        spec, "subadditivity", trial_no, hit, description, world.to_payload(), s1, s2, tol, seed
-    )
+def _pair_selections(world: World, s1: list[int], s2: list[int]) -> list[Selection | None]:
+    """The selections of S1, S2 and S1 | S2 (each sorted, without repeats)
+    that every open spec reads; None stands for an empty side."""
+    sides = (s1, s2, sorted(set(s1) | set(s2)))
+    return [world_selection(world, idx) if idx else None for idx in sides]
+
+
+def _pair_values(spec: MeasureSpec, sides: list[Selection | None]) -> list[float]:
+    """mu(S1), mu(S2) and mu(S1 | S2) read from ``_pair_selections``: the
+    values ``world_measure`` gives on the three sides."""
+    batch = MEASURES[spec.kind].batch
+    return [0.0 if sel is None else batch(sel, spec)[0] for sel in sides]
 
 
 def _search_subadditivity(
@@ -335,17 +358,24 @@ def _search_subadditivity(
     j is then drawn once from the seeded stream and tested against every spec
     still open, as that spec's trial k + j; a spec closes at its first hit or
     once it has seen ``trials`` candidates (all its constructions, at least).
-    Only the current random world is kept.
+    Only the current random world is kept, with one selection per side of its
+    split that every open spec reads.
     """
     if trials < 1:
         raise AxiomCheckError(f"trials must be at least 1, got {trials}")
     seeded = [_seed_worlds(spec.kind) for spec in specs]
     budget = [max(trials, len(constructions)) for constructions in seeded]
     found: list[CheckResult | None] = [None] * len(specs)
+
+    def refuted(pos, trial_no, hit, description, world, s1, s2) -> CheckResult:
+        return _refuted(specs[pos], "subadditivity", trial_no, hit, description,
+                        world.to_payload(), s1, s2, tol, seed)
+
     for pos, spec in enumerate(specs):
         for trial_no, (description, world, s1, s2) in enumerate(seeded[pos], 1):
-            found[pos] = _subadditivity_hit(spec, trial_no, description, world, s1, s2, tol, seed)
-            if found[pos] is not None:
+            hit = _subadditivity_violation(spec, world, s1, s2, tol)
+            if hit is not None:
+                found[pos] = refuted(pos, trial_no, hit, description, world, s1, s2)
                 break
     open_ = [pos for pos, n in enumerate(budget) if found[pos] is None and len(seeded[pos]) < n]
     rng = np.random.default_rng(seed)
@@ -353,11 +383,13 @@ def _search_subadditivity(
     while open_:
         drawn += 1
         world, s1, s2 = _random_split(rng)
+        sides = _pair_selections(world, s1, s2)
         for pos in open_:
-            trial_no = len(seeded[pos]) + drawn
-            found[pos] = _subadditivity_hit(
-                specs[pos], trial_no, "random world search", world, s1, s2, tol, seed
-            )
+            hit = _subadditivity_side(*_pair_values(specs[pos], sides), tol)
+            if hit is not None:
+                found[pos] = refuted(
+                    pos, len(seeded[pos]) + drawn, hit, "random world search", world, s1, s2
+                )
         open_ = [p for p in open_ if found[p] is None and len(seeded[p]) + drawn < budget[p]]
     note = "no counterexample in {} trials"
     return [
@@ -449,7 +481,8 @@ _COVERAGE_ALT_FRAGMENTS = [frozenset({"f1"}), frozenset({"f2"}), frozenset({"f3"
 def _geodesic_candidates(spec: MeasureSpec, a_values, fracs, thresholds):
     """Midpoint/candidate pairs in search order, each as (description, spec at
     the grid threshold, midpoint world, its value, candidate world, grid point);
-    each midpoint is evaluated once for all its candidates. Coverage does not
+    each midpoint is evaluated once for all its candidates, and each distinct
+    (a, delta) world is built once for every threshold. Coverage does not
     read distances, so its one construction is the only pair."""
     if spec.kind == "coverage":
         mid = GeodesicConfig(1.0, 0.5).world(fragments=_COVERAGE_MID_FRAGMENTS)
@@ -457,18 +490,19 @@ def _geodesic_candidates(spec: MeasureSpec, a_values, fracs, thresholds):
         v_mid = world_measure(spec, _TRIPLE, mid)
         yield _COVERAGE_DESCRIPTION, spec, mid, v_mid, alt, {"a": 1.0, "delta": 0.25}
         return
+    geodesic = functools.cache(lambda a, delta: GeodesicConfig(a, delta).world())
     for t in thresholds:
         at_t = spec if t is None else MeasureSpec("circles", {"t": float(t)})
         grid_t = {} if t is None else {"t": float(t)}
         for a in map(float, a_values):
-            mid = GeodesicConfig(a, a / 2).world()
+            mid = geodesic(a, a / 2)
             v_mid = world_measure(at_t, _TRIPLE, mid)
             for frac in fracs:
                 delta = a * float(frac)
                 if 0 < delta < a:
                     yield (
                         "off-center geodesic candidate beats the midpoint", at_t, mid, v_mid,
-                        GeodesicConfig(a, delta).world(), {"a": a, "delta": delta, **grid_t},
+                        geodesic(a, delta), {"a": a, "delta": delta, **grid_t},
                     )
 
 

@@ -218,8 +218,12 @@ class Dataset:
         return codes
 
     def indices_for_labels(self, codes) -> np.ndarray:
-        """Ascending indices of the records whose label code is in ``codes``."""
-        return np.flatnonzero(np.isin(self.label_codes, codes))
+        """Ascending indices of the records whose label code is in ``codes``,
+        each an index into ``classes`` (0 to ``len(classes) - 1``)."""
+        # Code -1 (unlabeled) reads the last slot, which no class index sets.
+        member = np.zeros(len(self.classes) + 1, dtype=bool)
+        member[np.asarray(codes, dtype=np.int64)] = True
+        return np.flatnonzero(member[self.label_codes])
 
 
 def _width_mismatch(

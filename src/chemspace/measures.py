@@ -188,13 +188,31 @@ def diameter_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
     return float(offdiag.max())
 
 
-def sum_diameter_from_dmatrix(dmatrix: np.ndarray) -> float:
-    n = dmatrix.shape[0]
-    if n < 2:
+_STRIP_ROWS = 256
+
+
+def _sum_of_row_extrema(dmatrix: np.ndarray, reduce, diagonal: float) -> float:
+    """Sum over the rows of each row's farthest (np.maximum) or nearest
+    (np.minimum) other point, accumulated in long double; 0.0 below two points.
+
+    Rows are reduced in strips: each strip is copied with ``diagonal`` on the
+    diagonal of its square block, so the extra memory is O(strip · n), not a
+    copy of the whole matrix, and every row is reduced exactly as a full copy's
+    row would be.
+    """
+    if dmatrix.shape[0] < 2:
         return 0.0
-    masked = dmatrix.copy()
-    np.fill_diagonal(masked, -np.inf)
-    return float(masked.max(axis=1).sum(dtype=np.longdouble))
+    extrema = np.empty(dmatrix.shape[0])
+    for start in range(0, dmatrix.shape[0], _STRIP_ROWS):
+        stop = start + _STRIP_ROWS
+        strip = dmatrix[start:stop].copy()
+        np.fill_diagonal(strip[:, start:stop], diagonal)
+        reduce.reduce(strip, axis=1, out=extrema[start:stop])
+    return float(extrema.sum(dtype=np.longdouble))
+
+
+def sum_diameter_from_dmatrix(dmatrix: np.ndarray) -> float:
+    return _sum_of_row_extrema(dmatrix, np.maximum, -np.inf)
 
 
 def bottleneck_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
@@ -204,12 +222,7 @@ def bottleneck_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
 
 
 def sum_bottleneck_from_dmatrix(dmatrix: np.ndarray) -> float:
-    n = dmatrix.shape[0]
-    if n < 2:
-        return 0.0
-    masked = dmatrix.copy()
-    np.fill_diagonal(masked, np.inf)
-    return float(masked.min(axis=1).sum(dtype=np.longdouble))
+    return _sum_of_row_extrema(dmatrix, np.minimum, np.inf)
 
 
 def dpp_from_dmatrix(dmatrix: np.ndarray) -> tuple[float, float | None]:

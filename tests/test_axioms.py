@@ -361,3 +361,97 @@ def test_world_zeroes_a_nonzero_diagonal():
             assert world_measure(spec, subset, dirty) == world_measure(spec, subset, world), (
                 spec.key(), subset,
             )
+
+
+def test_random_world_reads_one_uniform_draw_per_world():
+    class Recording:
+        """A generator that logs each call before passing it on."""
+
+        def __init__(self, seed):
+            self.rng, self.calls = np.random.default_rng(seed), []
+
+        def __getattr__(self, name):
+            def call(*args, **kwargs):
+                self.calls.append(name)
+                return getattr(self.rng, name)(*args, **kwargs)
+
+            return call
+
+    rng = Recording(3)
+    for size in (1, 2, 7, 12):
+        rng.calls.clear()
+        assert random_world(rng, size).n == size
+        assert rng.calls == ["random"]
+    rng.calls.clear()
+    axioms._random_split(rng)
+    assert rng.calls == ["integers", "random", "random"]
+
+
+ONE_DEFINITION_SPECS = (
+    *DEFAULT_TABLE_SPECS,
+    MeasureSpec("circles", {"t": 0.3}),
+    MeasureSpec("circles", {"t": 0.6}),
+)
+
+
+def test_search_values_equal_world_measure():
+    # The search reads every open spec from one selection per side of the
+    # split; each value must be the one world_measure gives on that side.
+    rng = np.random.default_rng(13)
+    empty_sides = 0
+    for _ in range(500):
+        world, s1, s2 = axioms._random_split(rng)
+        union = sorted(set(s1) | set(s2))
+        sides = axioms._pair_selections(world, s1, s2)
+        empty_sides += sum(sel is None for sel in sides)
+        for spec in ONE_DEFINITION_SPECS:
+            expected = [world_measure(spec, side, world) for side in (s1, s2, union)]
+            assert axioms._pair_values(spec, sides) == expected, (spec.key(), s1, s2)
+    assert empty_sides > 0
+    world = random_world(np.random.default_rng(2), 4)
+    for spec in ONE_DEFINITION_SPECS:
+        assert axioms._pair_values(spec, axioms._pair_selections(world, [], [])) == [0.0] * 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_search_counterexamples_replay(seed, monkeypatch):
+    monkeypatch.setattr(axioms, "_seed_worlds", lambda kind: [])
+    results = axioms._search_subadditivity(ONE_DEFINITION_SPECS, 100, seed, axioms.TOLERANCE)
+    refuted = [r for r in results if not r.holds]
+    assert {r.measure for r in refuted} == {
+        kind for kind, (sub, _) in EXPECTED_CLASSIFICATION.items() if not sub
+    }
+    for result in refuted:
+        assert result.counterexample.description == "random world search"
+        assert replay_counterexample(result.counterexample), result.measure
+
+
+# sha256 of ``json.dumps`` (sorted keys) of the dissimilarity results below,
+# recorded while each candidate world was still built afresh.
+DISSIMILARITY_DIGEST = "142f02c17770460dd9e28005138ddf2f2a11fa897f2023b948fa4345c4afad24"
+
+
+def test_dissimilarity_results_unchanged_by_shared_geodesic_worlds(monkeypatch):
+    built = []
+    build = GeodesicConfig.world
+
+    def counted(config, *args, **kwargs):
+        built.append((config.a, config.delta))
+        return build(config, *args, **kwargs)
+
+    monkeypatch.setattr(GeodesicConfig, "world", counted)
+    circles = MeasureSpec("circles", {"t": 0.5})
+    results = [check_dissimilarity(spec).to_dict() for spec in DEFAULT_TABLE_SPECS]
+    results.append(check_dissimilarity(circles, t_grid=[0.05, 0.3, 0.55, 0.8]).to_dict())
+    results.append(
+        check_dissimilarity(
+            circles, a_grid=[0.2, 0.5, 0.8], delta_fracs=[0.1, 0.25, 0.5, 0.75], t_grid=[0.2, 0.45]
+        ).to_dict()
+    )
+    blob = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == DISSIMILARITY_DIGEST
+    # Each call builds every distinct (a, delta) world once, whatever the
+    # number of thresholds: the default circles grid has 190 of them.
+    built.clear()
+    assert check_dissimilarity(circles).trials == 1900
+    assert len(built) == len(set(built)) == 190

@@ -164,6 +164,21 @@ def test_label_helpers():
     assert ds.indices_for_labels([]).tolist() == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.one_of(st.none(), st.sampled_from("abcde")), min_size=1, max_size=40),
+    picks=st.lists(st.integers(0, 4), max_size=8),
+    as_array=st.booleans(),
+)
+def test_indices_for_labels_equals_isin(labels, picks, as_array):
+    # Unlabeled records, repeated codes and empty code lists all occur.
+    records = [MoleculeRecord(f"m{i}", Fingerprint.from_hex("f0"), c) for i, c in enumerate(labels)]
+    ds = Dataset(records)
+    codes = [c for c in picks if c < len(ds.classes)]
+    got = ds.indices_for_labels(np.array(codes, dtype=np.int64) if as_array else codes)
+    assert got.tolist() == np.flatnonzero(np.isin(ds.label_codes, codes)).tolist()
+
+
 def test_dataset_keeps_columns_only():
     records = [
         MoleculeRecord("a", Fingerprint.from_hex("f0f0"), "c1", frozenset({"x"})),

@@ -16,7 +16,9 @@ from chemspace.measures import (
     parse_measure_spec,
     richness,
     sum_bottleneck,
+    sum_bottleneck_from_dmatrix,
     sum_diameter,
+    sum_diameter_from_dmatrix,
     sum_diversity,
 )
 
@@ -208,6 +210,46 @@ def test_offdiag_bytes_equal_triu_indices(n):
     got = _offdiag(dmatrix)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def copied_row_extrema_sums(dmatrix):
+    """sum_diameter and sum_bottleneck by the formula the strip reduction
+    replaced: one copy of the whole matrix with +-inf on its diagonal."""
+    if dmatrix.shape[0] < 2:
+        return 0.0, 0.0
+    sums = []
+    for diagonal, extremum in ((-np.inf, np.max), (np.inf, np.min)):
+        masked = dmatrix.copy()
+        np.fill_diagonal(masked, diagonal)
+        sums.append(float(extremum(masked, axis=1).sum(dtype=np.longdouble)))
+    return tuple(sums)
+
+
+def symmetric_matrix(rng, n):
+    upper = np.triu(rng.random((n, n)), 1)
+    return upper + upper.T
+
+
+def strip_matrices():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 255, 256, 257, 600):
+        yield f"random-{n}", symmetric_matrix(rng, n)
+    points = rng.random((300, 4))[rng.integers(0, 120, 300)]  # many duplicate rows
+    yield "duplicates", np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+    tiny = symmetric_matrix(rng, 270)
+    tiny[rng.random(tiny.shape) < 0.05] = -1e-17
+    yield "tiny-negative", MatrixOracle(np.minimum(tiny, tiny.T), validate=False).full_matrix()
+
+
+STRIP_MATRICES = dict(strip_matrices())
+
+
+@pytest.mark.parametrize("name", list(STRIP_MATRICES))
+def test_row_extrema_strips_bytes_equal_whole_copy(name):
+    dmatrix = STRIP_MATRICES[name]
+    expected = copied_row_extrema_sums(dmatrix)
+    got = (sum_diameter_from_dmatrix(dmatrix), sum_bottleneck_from_dmatrix(dmatrix))
+    assert np.array(got).tobytes() == np.array(expected).tobytes(), name
 
 
 def test_parse_measure_spec_grammar():
