@@ -3,113 +3,74 @@
 The package bundles a measure catalog (distance-based, reference-based, and
 packing-based), a property-test harness for the two validity axioms, and the
 two empirical correlation protocols against a label-count gold standard.
+
+Each public name is imported from its submodule on first access (PEP 562), so
+``import chemspace`` and a command that needs a few submodules load only
+those.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .axioms import (
-    EXPECTED_CLASSIFICATION,
-    AxiomReport,
-    GeodesicConfig,
-    check_dissimilarity,
-    check_subadditivity,
-    quadrant_table,
-    replay_counterexample,
-)
-from .circles import (
-    PackingResult,
-    circles_auto,
-    circles_exact,
-    circles_greedy,
-)
-from .distances import MatrixOracle, TanimotoOracle
-from .errors import ChemSpaceError
-from .fingerprints import (
-    Dataset,
-    Fingerprint,
-    MoleculeRecord,
-    load_dataset,
-    tanimoto_distance,
-    write_dataset,
-)
-from .measures import (
-    MeasureResult,
-    MeasureSpec,
-    bottleneck,
-    diameter,
-    diversity,
-    dpp,
-    evaluate_measure,
-    parse_measure_spec,
-    richness,
-    sum_bottleneck,
-    sum_diameter,
-    sum_diversity,
-)
-from .novelty import (
-    NoveltyContext,
-    novelty_circles,
-    novelty_diversity,
-    novelty_sum_bottleneck,
-)
-from .protocols import (
-    CurveSeries,
-    ProtocolResult,
-    protocol_fixed,
-    protocol_growing,
-    threshold_sweep,
-)
-from .reference import ReferenceSet, coverage, load_universe
-from .stats import dtw, spearman
-from .synthetic import SyntheticConfig, generate_synthetic
+_EXPORTS = {
+    "axioms": (
+        "EXPECTED_CLASSIFICATION",
+        "AxiomReport",
+        "GeodesicConfig",
+        "check_dissimilarity",
+        "check_subadditivity",
+        "quadrant_table",
+        "replay_counterexample",
+    ),
+    "circles": ("PackingResult", "circles_auto", "circles_exact", "circles_greedy"),
+    "distances": ("MatrixOracle", "TanimotoOracle"),
+    "errors": ("ChemSpaceError",),
+    "fingerprints": (
+        "Dataset",
+        "Fingerprint",
+        "MoleculeRecord",
+        "load_dataset",
+        "tanimoto_distance",
+        "write_dataset",
+    ),
+    "measures": (
+        "MeasureResult",
+        "MeasureSpec",
+        "bottleneck",
+        "diameter",
+        "diversity",
+        "dpp",
+        "evaluate_measure",
+        "parse_measure_spec",
+        "richness",
+        "sum_bottleneck",
+        "sum_diameter",
+        "sum_diversity",
+    ),
+    "novelty": ("NoveltyContext", "novelty_circles", "novelty_diversity", "novelty_sum_bottleneck"),
+    "protocols": (
+        "CurveSeries",
+        "ProtocolResult",
+        "protocol_fixed",
+        "protocol_growing",
+        "threshold_sweep",
+    ),
+    "reference": ("ReferenceSet", "coverage", "load_universe"),
+    "stats": ("dtw", "spearman"),
+    "synthetic": ("SyntheticConfig", "generate_synthetic"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AxiomReport",
-    "ChemSpaceError",
-    "CurveSeries",
-    "Dataset",
-    "EXPECTED_CLASSIFICATION",
-    "Fingerprint",
-    "GeodesicConfig",
-    "MatrixOracle",
-    "MeasureResult",
-    "MeasureSpec",
-    "MoleculeRecord",
-    "NoveltyContext",
-    "PackingResult",
-    "ProtocolResult",
-    "ReferenceSet",
-    "SyntheticConfig",
-    "TanimotoOracle",
-    "bottleneck",
-    "check_dissimilarity",
-    "check_subadditivity",
-    "circles_auto",
-    "circles_exact",
-    "circles_greedy",
-    "coverage",
-    "diameter",
-    "diversity",
-    "dpp",
-    "dtw",
-    "evaluate_measure",
-    "generate_synthetic",
-    "load_dataset",
-    "load_universe",
-    "novelty_circles",
-    "novelty_diversity",
-    "novelty_sum_bottleneck",
-    "parse_measure_spec",
-    "protocol_fixed",
-    "protocol_growing",
-    "quadrant_table",
-    "replay_counterexample",
-    "richness",
-    "spearman",
-    "sum_bottleneck",
-    "sum_diameter",
-    "sum_diversity",
-    "tanimoto_distance",
-    "threshold_sweep",
-    "write_dataset",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,7 +5,10 @@ The count equals the maximum independent set of the conflict graph (edge
 where d <= t). Both solvers read that graph as Python-int bitmasks, bit j of
 point i's mask set when d(i, j) <= t. Small sets are solved exactly by branch
 and bound; larger sets fall back to best-of-k greedy sphere exclusion, each
-pass OR-ing the masks of its centers into one covered mask.
+pass OR-ing the masks of its centers into one covered mask. Where all the
+masks are at hand (``greedy_pack_count``, the fixed-size protocol's packer),
+the greedy clique cover of the conflict graph bounds every packing from
+above, and best-of-k stops at the first pass that reaches that bound.
 """
 
 from __future__ import annotations
@@ -177,21 +180,32 @@ def greedy_pack_positions(conflict, *, order) -> list[int]:
     return centers
 
 
-def _best_of_k(conflict, n: int, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> list[int]:
+def _best_of_k(
+    conflict, n: int, restarts: int = DEFAULT_RESTARTS, seed: int = 0, bound: int | None = None
+) -> list[int]:
     """Best of k sphere-exclusion passes: the first in input order, the rest
     over seeded random permutations; ties keep the earliest pass. Fewer than
-    one pass is refused, also when there are no points to pass over."""
+    one pass is refused, also when there are no points to pass over.
+
+    ``bound`` is an upper bound on any packing of the n points. The passes
+    stop at the first one that reaches it: no later pass can beat it, and a
+    tie would keep it, so the result is that of all k passes. The permutation
+    generator is only made when a second pass runs.
+    """
     if restarts < 1:
         raise MeasureParamError(f"circles restarts must be a positive integer, got {restarts!r}")
     if not n:
         return []
+    best = greedy_pack_positions(conflict, order=range(n))
+    if restarts == 1 or (bound is not None and len(best) >= bound):
+        return best
     rng = np.random.default_rng(seed)
-    best: list[int] | None = None
-    for restart in range(restarts):
-        order = range(n) if restart == 0 else rng.permutation(n).tolist()
-        centers = greedy_pack_positions(conflict, order=order)
-        if best is None or len(centers) > len(best):
+    for _ in range(1, restarts):
+        centers = greedy_pack_positions(conflict, order=rng.permutation(n).tolist())
+        if len(centers) > len(best):
             best = centers
+            if bound is not None and len(best) >= bound:
+                break
     return best
 
 
@@ -225,9 +239,12 @@ def greedy_pack_count(
     dmatrix: np.ndarray, t: float, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> int:
     """Greedy packing count straight from a precomputed distance matrix; the
-    conflict masks are built once and shared by every pass."""
+    conflict masks are built once and shared by every pass. Their greedy
+    clique cover bounds every packing, so the passes stop at the first one
+    that reaches it, a certified optimum; the count is that of all k passes."""
     adj = threshold_adjacency(dmatrix, t)
-    return len(_best_of_k(adj.__getitem__, len(adj), restarts, seed))
+    bound = _clique_cover_bound((1 << len(adj)) - 1, adj) if restarts > 1 else None
+    return len(_best_of_k(adj.__getitem__, len(adj), restarts, seed, bound))
 
 
 def circles_auto(

@@ -5,6 +5,10 @@ sweep-t, gen-synthetic, novelty. Reports go to --out (or stdout) as JSON or
 CSV carrying the same values. Every run takes a seed (default 0); identical
 config + seed reproduces identical output apart from the volatile timing
 fields (``timestamp``, ``wall_time_s``).
+
+Only the modules every command shares are imported here; each command
+imports the protocol, axiom, novelty, reference and synthetic code it runs,
+so a process loads no more of the package than its command needs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .axioms import quadrant_table
 from .circles import DEFAULT_RESTARTS
 from .distances import TanimotoOracle
 from .errors import ChemSpaceError, DatasetFormatError, MeasureParamError, ProtocolError
@@ -37,18 +40,13 @@ from .measures import (
     parse_measure_spec,
     validate_spec,
 )
-from .novelty import NOVELTY_KINDS, NoveltyContext
-from .protocols import (
-    BIAS_MODES,
-    DEFAULT_PROTOCOL_MEASURES,
-    protocol_fixed,
-    protocol_growing,
-    threshold_sweep,
-)
-from .reference import load_universe
-from .synthetic import SyntheticConfig, generate_synthetic
 
 VOLATILE_KEYS = ("timestamp", "wall_time_s")
+# The parser's choices, spelled out so that building it imports neither
+# ``protocols`` nor ``novelty``; tests hold them equal to ``BIAS_MODES`` and
+# the keys of ``NOVELTY_KINDS``.
+BIAS_CHOICES = ("uniform", "similar", "most-similar")
+NOVELTY_CHOICES = ("diversity", "sum_bottleneck", "circles")
 
 
 def _json_default(obj):
@@ -133,6 +131,8 @@ def _parse_measures(text: str) -> list[MeasureSpec]:
     for raw in specs:
         spec = parse_measure_spec(raw)
         if spec.kind == "coverage" and isinstance(spec.param("universe"), str):
+            from .reference import load_universe
+
             universe = load_universe(spec.param("universe"))
             params = dict(spec.params)
             params["universe"] = universe
@@ -247,7 +247,19 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _protocol_measures(args) -> list[MeasureSpec]:
+    """The ``--measures`` of a protocol command, the paper's list by default."""
+    text = args.measures
+    if text is None:
+        from .protocols import DEFAULT_PROTOCOL_MEASURES
+
+        text = ",".join(DEFAULT_PROTOCOL_MEASURES)
+    return _parse_measures(text)
+
+
 def cmd_axiom_check(args) -> int:
+    from .axioms import quadrant_table
+
     table = quadrant_table(trials=args.trials, seed=args.seed)
     rows = [
         {
@@ -272,11 +284,13 @@ def cmd_axiom_check(args) -> int:
 
 
 def cmd_corr_fixed(args) -> int:
+    from .protocols import protocol_fixed
+
     dataset = load_dataset(args.input)
     result = protocol_fixed(
         dataset,
         n=args.n,
-        measures=_parse_measures(args.measures),
+        measures=_protocol_measures(args),
         seed=args.seed,
         repeats=args.repeats,
         runs=args.runs,
@@ -289,11 +303,13 @@ def cmd_corr_fixed(args) -> int:
 
 
 def cmd_corr_growing(args) -> int:
+    from .protocols import protocol_growing
+
     dataset = load_dataset(args.input)
     result = protocol_growing(
         dataset,
         n=args.n,
-        measures=_parse_measures(args.measures),
+        measures=_protocol_measures(args),
         bias=args.bias,
         seed=args.seed,
         runs=args.runs,
@@ -307,6 +323,8 @@ def cmd_corr_growing(args) -> int:
 
 
 def cmd_sweep_t(args) -> int:
+    from .protocols import threshold_sweep
+
     try:
         t_grid = [float(v) for v in args.t_grid.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -330,6 +348,8 @@ def cmd_sweep_t(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    from .synthetic import SyntheticConfig, generate_synthetic
+
     config = SyntheticConfig(
         classes=args.classes,
         per_class=args.per_class,
@@ -357,6 +377,8 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_novelty(args) -> int:
+    from .novelty import NOVELTY_KINDS, NoveltyContext
+
     if args.t is None and (args.kind == "circles" or args.against_centers):
         raise MeasureParamError("novelty --kind circles and --against-centers need a threshold --t")
     dataset = load_dataset(args.input)
@@ -420,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--repeats", type=int, default=200)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--measures", default=",".join(DEFAULT_PROTOCOL_MEASURES))
+    p.add_argument("--measures", default=None, help="default: the paper's nine measures")
     _add_common(p)
     p.set_defaults(fn=cmd_corr_fixed)
 
@@ -428,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--bias", choices=BIAS_MODES, default="similar")
+    p.add_argument("--bias", choices=BIAS_CHOICES, default="similar")
     p.add_argument("--normalize-dtw", action="store_true")
-    p.add_argument("--measures", default=",".join(DEFAULT_PROTOCOL_MEASURES))
+    p.add_argument("--measures", default=None, help="default: the paper's nine measures")
     _add_common(p)
     p.set_defaults(fn=cmd_corr_growing)
 
@@ -441,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--bias", choices=BIAS_MODES, default="similar")
+    p.add_argument("--bias", choices=BIAS_CHOICES, default="similar")
     _add_common(p)
     p.set_defaults(fn=cmd_sweep_t)
 
@@ -459,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "novelty", help="score candidate fingerprints from stdin against a dataset"
     )
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--kind", choices=tuple(NOVELTY_KINDS), required=True)
+    p.add_argument("--kind", choices=NOVELTY_CHOICES, required=True)
     p.add_argument("--t", type=float, default=None, help="threshold for the circles indicator")
     p.add_argument("--against-centers", action="store_true")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)

@@ -10,6 +10,8 @@ the row strips at and right of the diagonal, each mirrored below it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import MatrixValidationError
@@ -66,23 +68,29 @@ def pairwise_tanimoto(
     ``p_i + p_j - x`` does not depend on the order of ``i`` and ``j``, so the
     matrix is exactly symmetric, and the final ``1 - inter / union`` is the
     same float64 arithmetic as ``tanimoto_from_row``: the two agree bit for
-    bit. Two empty rows are at distance 0.
+    bit. The union is zero only between two empty rows; their 0/0 is set to
+    distance 0 once the matrix is built.
     """
     n = words.shape[0]
     bits = np.unpackbits(words.view(np.uint8), axis=1)
     bits = bits.astype(_count_dtype(bits.shape[1]))
     pops = popcounts.astype(np.float64)
     out = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        inter = bits[start:stop] @ bits[start:].T
-        union = pops[start:stop, None] + pops[None, start:] - inter
-        strip = np.divide(inter, union, out=np.ones_like(union), where=union > 0)
-        np.subtract(1.0, strip, out=strip)
-        out[start:stop, start:] = strip
-        # Mirrored from the strip, not from ``out``: a copy within one array
-        # would go through a temporary.
-        out[stop:, start:stop] = strip[:, stop - start :].T
+    with np.errstate(invalid="ignore"):
+        for start in range(0, n, block_rows):
+            stop = min(start + block_rows, n)
+            inter = bits[start:stop] @ bits[start:].T
+            strip = np.add.outer(pops[start:stop], pops[start:])
+            np.subtract(strip, inter, out=strip)
+            np.divide(inter, strip, out=strip)
+            np.subtract(1.0, strip, out=strip)
+            out[start:stop, start:] = strip
+            # Mirrored from the strip, not from ``out``: a copy within one
+            # array would go through a temporary.
+            out[stop:, start:stop] = strip[:, stop - start :].T
+    empty = np.flatnonzero(popcounts == 0)
+    if empty.size:
+        out[np.ix_(empty, empty)] = 0.0
     return out
 
 
@@ -90,6 +98,21 @@ def gather_submatrix(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``matrix[np.ix_(idx, idx)]`` as one gather over the flattened matrix,
     which costs less than the two-axis fancy index at every size used here."""
     return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def gather_upper(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The entries above the diagonal of ``gather_submatrix(matrix, idx)``,
+    row by row, gathered without the rest of the submatrix."""
+    rows, cols = _upper_pairs(idx.size)
+    return matrix.ravel().take(idx[rows] * matrix.shape[1] + idx[cols])
 
 
 def _matrix_row(matrix: np.ndarray, i: int, targets=None) -> np.ndarray:

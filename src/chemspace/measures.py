@@ -11,9 +11,10 @@ the fixed-size protocol and the axiom worlds read the whole-set value, and the
 growing-size protocol reads the curve; they differ only in how they build the
 selection and in the circles policy they pass. The kernels (``*_from_dmatrix``
 and ``*_prefix``) operate on a precomputed pairwise distance submatrix. A
-``Selection`` caches that submatrix and its upper triangle, so the distance
-measures on one selection gather each once; richness and the gold standard
-count distinct codes in a column of fingerprint or label codes.
+``Selection`` caches that submatrix, its upper triangle and the triangle's
+sum, so the distance measures on one selection build each once; richness
+and the gold standard count distinct codes in a column of fingerprint or
+label codes.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ def validate_spec(spec: MeasureSpec, size: int | None = None) -> None:
     entry = MEASURES.get(spec.kind)
     if entry is None:
         raise MeasureParamError(f"unknown measure kind: {spec.kind!r}")
+    for key in spec.params:
+        if key not in entry.params:
+            takes = f"it takes {', '.join(entry.params)}" if entry.params else "it takes none"
+            raise MeasureParamError(f"{spec.kind} has no parameter {key!r}; {takes}")
     if entry.check is not None:
         entry.check(spec, size)
 
@@ -163,23 +168,33 @@ def _offdiag(dmatrix: np.ndarray) -> np.ndarray:
     return dmatrix[_upper_mask(dmatrix.shape[0])]
 
 
+def _mirror(offdiag: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix with a zero diagonal whose upper triangle,
+    row by row, is ``offdiag``: the inverse of ``_offdiag``, copied entry for
+    entry with no arithmetic."""
+    dmatrix = np.zeros((n, n))
+    mask = _upper_mask(n)
+    dmatrix[mask] = offdiag
+    dmatrix.T[mask] = offdiag
+    return dmatrix
+
+
 # Kernels that read the pairs above the diagonal take them as ``offdiag``,
-# gathered once per selection.
+# gathered once per selection; the two pair-sum kernels take its long-double
+# sum, summed once for both.
 
-def diversity_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
+def diversity_from_dmatrix(dmatrix: np.ndarray, pair_sum: np.longdouble) -> float:
     n = dmatrix.shape[0]
     if n < 2:
         return 0.0
-    total = offdiag.sum(dtype=np.longdouble)
-    return float(2.0 * total / (n * (n - 1)))
+    return float(2.0 * pair_sum / (n * (n - 1)))
 
 
-def sum_diversity_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
+def sum_diversity_from_dmatrix(dmatrix: np.ndarray, pair_sum: np.longdouble) -> float:
     n = dmatrix.shape[0]
     if n < 2:
         return 0.0
-    total = offdiag.sum(dtype=np.longdouble)
-    return float(2.0 * total / (n - 1))
+    return float(2.0 * pair_sum / (n - 1))
 
 
 def diameter_from_dmatrix(dmatrix: np.ndarray, offdiag: np.ndarray) -> float:
@@ -353,28 +368,38 @@ class Selection:
     """One molecule set as the measure table reads it.
 
     ``indices`` fixes the point order. ``dmatrix`` is the pairwise distance
-    submatrix in that order: ``submatrix()`` builds it on first use, and the
-    distance measures on the selection then share it and its upper triangle
-    ``offdiag``. ``key_codes`` and ``label_codes`` map an index array to the
-    points' fingerprint and class-label codes, equal exactly where the
-    fingerprints or labels are; ``fragments`` reads one point's fragment set.
+    submatrix in that order and ``offdiag`` its upper triangle, row by row;
+    the distance measures on the selection share both, and ``pair_sum``, the
+    long-double sum of ``offdiag`` that diversity and sum_diversity read.
+    Each is built on first use: ``dmatrix`` by ``submatrix()`` and
+    ``offdiag`` taken from it, or, for a symmetric source with a zero
+    diagonal, ``offdiag`` gathered by ``triangle()`` and ``dmatrix`` mirrored
+    from it. One of the two builders must be given. ``key_codes`` and
+    ``label_codes`` map an index array to the points' fingerprint and
+    class-label codes, equal exactly where the fingerprints or labels are;
+    ``fragments`` reads one point's fragment set.
     ``pack(selection, spec)`` is the caller's circles policy for the value on
     the whole selection; it returns the count and the metadata to report.
     """
 
     indices: Any
-    submatrix: Callable[[], np.ndarray]
+    submatrix: Callable[[], np.ndarray] | None = None
     pack: Callable[["Selection", MeasureSpec], tuple[float, dict]] | None = None
     key_codes: Callable[[Any], np.ndarray] | None = None
     label_codes: Callable[[Any], np.ndarray] | None = None
     fragments: Callable[[int], Any] | None = None
+    triangle: Callable[[], np.ndarray] | None = None
     _dmatrix: np.ndarray | None = field(default=None, init=False, repr=False)
     _upper: np.ndarray | None = field(default=None, init=False, repr=False)
+    _pair_sum: np.longdouble | None = field(default=None, init=False, repr=False)
 
     @property
     def dmatrix(self) -> np.ndarray:
         if self._dmatrix is None:
-            self._dmatrix = self.submatrix()
+            if self.submatrix is None:
+                self._dmatrix = _mirror(self.offdiag, len(self.indices))
+            else:
+                self._dmatrix = self.submatrix()
             self._dmatrix.setflags(write=False)
         return self._dmatrix
 
@@ -382,8 +407,15 @@ class Selection:
     def offdiag(self) -> np.ndarray:
         """The distances above the diagonal of ``dmatrix``, row by row."""
         if self._upper is None:
-            self._upper = _offdiag(self.dmatrix)
+            self._upper = self.triangle() if self.triangle is not None else _offdiag(self.dmatrix)
         return self._upper
+
+    @property
+    def pair_sum(self) -> np.longdouble:
+        """The sum of ``offdiag`` in long double."""
+        if self._pair_sum is None:
+            self._pair_sum = self.offdiag.sum(dtype=np.longdouble)
+        return self._pair_sum
 
 
 def dataset_readers(dataset: Dataset) -> dict[str, Callable[[Any], Any]]:
@@ -437,7 +469,10 @@ class Measure:
     """One measure kind.
 
     ``reads`` names its input: "distances", "keys", "labels" or "fragments".
-    ``check(spec, size)`` rejects bad parameters (None: nothing to check).
+    ``params`` names the parameters it takes; a spec giving any other is
+    refused. Coverage's ``kind`` only labels the reference collection (FG,
+    RS, BM, as ``ReferenceSet.kind`` does) and is carried in the spec key. ``check(spec, size)`` rejects bad values of them (None: nothing
+    to check).
     ``batch(selection, spec)`` returns the value on a whole selection and its
     metadata. ``prefix(selection, spec)`` returns the growth curve: the value
     on the selection's first 1..n points, in its point order. Circles packs
@@ -448,6 +483,7 @@ class Measure:
     batch: Callable[[Selection, MeasureSpec], tuple[float, dict]]
     prefix: Callable[[Selection, MeasureSpec], np.ndarray]
     check: Callable[[MeasureSpec, int | None], None] | None = None
+    params: tuple[str, ...] = ()
 
 
 def _covered(fragment_sets, spec: MeasureSpec) -> float:
@@ -478,12 +514,12 @@ MEASURES: dict[str, Measure] = {
         lambda s, spec: _distinct_prefix(s.label_codes(s.indices))),
     "coverage": Measure(
         "fragments", lambda s, spec: (_covered(map(s.fragments, s.indices), spec), {}),
-        _covered_prefix),
+        _covered_prefix, params=("kind", "universe")),
     "diversity": Measure(
-        "distances", lambda s, spec: (diversity_from_dmatrix(s.dmatrix, s.offdiag), {}),
+        "distances", lambda s, spec: (diversity_from_dmatrix(s.dmatrix, s.pair_sum), {}),
         lambda s, spec: _pair_sum_prefix(s.dmatrix, lambda k: (k + 1) * k)),
     "sum_diversity": Measure(
-        "distances", lambda s, spec: (sum_diversity_from_dmatrix(s.dmatrix, s.offdiag), {}),
+        "distances", lambda s, spec: (sum_diversity_from_dmatrix(s.dmatrix, s.pair_sum), {}),
         lambda s, spec: _pair_sum_prefix(s.dmatrix, lambda k: k)),
     "diameter": Measure(
         "distances", lambda s, spec: (diameter_from_dmatrix(s.dmatrix, s.offdiag), {}),
@@ -501,7 +537,8 @@ MEASURES: dict[str, Measure] = {
         "distances", _dpp_batch, lambda s, spec: _dpp_prefix(s.dmatrix),
         check=lambda spec, size: _refuse_large_dpp(size)),
     "circles": Measure(
-        "distances", lambda s, spec: s.pack(s, spec), _circles_prefix, check=_check_circles),
+        "distances", lambda s, spec: s.pack(s, spec), _circles_prefix, check=_check_circles,
+        params=("t", "mode", "restarts", "seed")),
 }
 
 

@@ -20,13 +20,12 @@ import numpy as np
 from .circles import DEFAULT_RESTARTS, greedy_pack_count
 from .errors import MeasureParamError, ProtocolError
 from .fingerprints import Dataset
-from .distances import TanimotoOracle, gather_submatrix
+from .distances import TanimotoOracle, gather_submatrix, gather_upper
 from .measures import (
     MEASURES,
     MeasureSpec,
     Selection,
     dataset_readers,
-    evaluate_selection,
     parse_measure_spec,
     validate_spec,
 )
@@ -169,14 +168,17 @@ def _sample_label_pool(rng: np.random.Generator, dataset: Dataset, n: int) -> np
 # Fixed-size setting.
 
 def _fixed_selection(full: np.ndarray, subset: np.ndarray, readers: dict, seed: int) -> Selection:
-    """One repeat's subset. Distances come from the precomputed matrix; every
-    circles spec is best-of-k greedy over its rows from the repeat's seed."""
+    """One repeat's subset. Distances come from the precomputed matrix, which
+    is exactly symmetric with a zero diagonal: only the subset's upper
+    triangle is gathered, and the submatrix is mirrored from it. Every
+    circles spec is best-of-k greedy over its rows from the repeat's seed,
+    stopped at a certified optimum."""
 
     def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
         restarts = int(spec.param("restarts", DEFAULT_RESTARTS))
         return float(greedy_pack_count(sel.dmatrix, float(spec.param("t")), restarts, seed)), {}
 
-    return Selection(subset, lambda: gather_submatrix(full, subset), pack, **readers)
+    return Selection(subset, pack=pack, triangle=lambda: gather_upper(full, subset), **readers)
 
 
 def protocol_fixed(
@@ -191,9 +193,11 @@ def protocol_fixed(
     standard over repeated random subsets, aggregated over independent runs.
 
     Each repeat draws a label sub-universe, then n molecules from it, and
-    evaluates every measure on the same subset; every circles spec packs from
-    one seed drawn per repeat. Degenerate correlations (constant measure) are
-    reported as 0 and counted per measure.
+    evaluates every measure on the same subset; every circles spec packs
+    best-of-k from one seed drawn per repeat, and stops at the first pass
+    that reaches the clique-cover bound, which no pass can beat. Degenerate
+    correlations (constant measure) are reported as 0 and counted per
+    measure.
     """
     _check_sample(dataset, n)
     specs = _resolve_specs(measures, n, {"repeats": repeats, "runs": runs}, ("seed",))
@@ -205,6 +209,7 @@ def protocol_fixed(
     def one_run(run_idx: int) -> dict[str, tuple[float, bool]]:
         gs_vals = np.empty(repeats)
         meas_vals = {spec.key(): np.empty(repeats) for spec in specs}
+        columns = [(spec, meas_vals[spec.key()]) for spec in specs]
         repeat_seqs = run_seeds[run_idx].spawn(repeats)
         for rep in range(repeats):
             sample_ss, measure_ss = repeat_seqs[rep].spawn(2)
@@ -213,9 +218,9 @@ def protocol_fixed(
             subset = rng_sample.choice(pool, size=n, replace=False)
             pack_seed = int(np.random.default_rng(measure_ss).integers(0, 2**31))
             sel = _fixed_selection(full, subset, readers, pack_seed)
-            gs_vals[rep] = evaluate_selection(gs_spec, sel).value
-            for spec in specs:
-                meas_vals[spec.key()][rep] = evaluate_selection(spec, sel).value
+            gs_vals[rep] = MEASURES["gold_standard"].batch(sel, gs_spec)[0]
+            for spec, vals in columns:
+                vals[rep] = MEASURES[spec.kind].batch(sel, spec)[0]
         out: dict[str, tuple[float, bool]] = {}
         for key, vals in meas_vals.items():
             degenerate = is_degenerate(vals) or is_degenerate(gs_vals)

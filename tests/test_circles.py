@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemspace.circles import (
+    _best_of_k,
+    _clique_cover_bound,
     circles_auto,
     circles_exact,
     circles_greedy,
@@ -296,14 +298,101 @@ def test_bitmask_pass_matches_running_minimum(n, t, restarts, seed):
         passes.clear()
         result = circles_greedy(subset, oracle, t, restarts=restarts, seed=seed)
         oracle_passes = list(passes)
-    for caller_passes in (matrix_passes, oracle_passes):
-        assert len(caller_passes) == (restarts if n else 0)
-        for order, centers in caller_passes:
-            assert sorted(order) == list(range(n))
-            assert centers == running_min_pass(d, t, order)
+    # The oracle path runs every pass. The matrix path runs the same passes
+    # up to the first that reaches the clique-cover bound, all of them while
+    # its best count stays below it.
+    bound = _clique_cover_bound((1 << n) - 1, threshold_adjacency(d, t))
+    expected = restarts
+    if restarts > 1:
+        reached = (i + 1 for i, (_, c) in enumerate(matrix_passes) if len(c) >= bound)
+        expected = next(reached, restarts)
+    assert len(matrix_passes) == (expected if n else 0)
+    assert len(oracle_passes) == (restarts if n else 0)
+    assert matrix_passes == oracle_passes[: len(matrix_passes)]
+    for order, centers in oracle_passes:
+        assert sorted(order) == list(range(n))
+        assert centers == running_min_pass(d, t, order)
+        assert len(centers) <= bound
     best = max((c for _, c in matrix_passes), key=len, default=[])
+    assert best == max((c for _, c in oracle_passes), key=len, default=[])
     assert count == len(best)
     assert result.centers == tuple(int(subset[p]) for p in best)
+
+
+def quarter_grid(rng, n, clusters):
+    """A symmetric matrix on the quarter grid with a zero diagonal. With
+    clusters, points in one cluster are at most 0.25 apart and points in
+    different ones at least 0.75, so at t = 0.5 the conflict graph is a union
+    of cliques and the first greedy pass is optimal."""
+    d = rng.integers(0, 5, size=(n, n)) / 4.0
+    if clusters:
+        label = rng.integers(0, clusters, size=n)
+        same = label[:, None] == label[None, :]
+        d = np.where(same, d % 0.5, 0.75 + d % 0.5)
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@given(
+    n=st.integers(0, 80),
+    clusters=st.sampled_from([0, 1, 3, 10]),
+    t=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+    restarts=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+@example(n=40, clusters=5, t=0.5, restarts=8, seed=0)
+@example(n=40, clusters=0, t=0.5, restarts=8, seed=1)
+def test_stopping_at_the_bound_keeps_the_best_of_k(n, clusters, t, restarts, seed):
+    d = quarter_grid(np.random.default_rng(seed), n, clusters)
+    adj = threshold_adjacency(d, t)
+    bound = _clique_cover_bound((1 << n) - 1, adj)
+    stopped = _best_of_k(adj.__getitem__, n, restarts, seed, bound)
+    assert stopped == _best_of_k(adj.__getitem__, n, restarts, seed)
+    assert greedy_pack_count(d, t, restarts=restarts, seed=seed) == len(stopped) <= bound
+
+
+@given(n=st.integers(1, 60), restarts=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_passes_stop_at_the_first_that_reaches_the_bound(n, restarts, seed):
+    # Any number serves as the stopping bound here: the passes run up to the
+    # first whose best count so far reaches it, and the best of those is kept.
+    d = quarter_grid(np.random.default_rng(seed), n, clusters=0)
+    adj = threshold_adjacency(d, 0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = recorded_passes(mp)
+        _best_of_k(adj.__getitem__, n, restarts, seed)
+        every = [centers for _, centers in passes]
+        for bound in range(max(map(len, every)) + 2):
+            passes.clear()
+            got = _best_of_k(adj.__getitem__, n, restarts, seed, bound)
+            ran = [centers for _, centers in passes]
+            reached = (i + 1 for i in range(restarts) if max(map(len, every[: i + 1])) >= bound)
+            assert ran == every[: next(reached, restarts)]
+            assert got == max(ran, key=len)
+
+
+def test_clustered_matrix_packs_once(monkeypatch):
+    d = quarter_grid(np.random.default_rng(5), 60, clusters=6)
+    passes = recorded_passes(monkeypatch)
+    count = greedy_pack_count(d, 0.5, restarts=8, seed=3)
+    assert len(passes) == 1
+    assert count == _clique_cover_bound((1 << 60) - 1, threshold_adjacency(d, 0.5))
+
+
+def test_unmet_bound_runs_every_pass(monkeypatch):
+    # A 5-cycle of conflicts: every maximal independent set has 2 points,
+    # and the greedy clique cover takes 3 cliques, so no pass reaches it.
+    d = np.ones((5, 5))
+    for i in range(5):
+        d[i, (i + 1) % 5] = d[(i + 1) % 5, i] = 0.25
+    np.fill_diagonal(d, 0.0)
+    adj = threshold_adjacency(d, 0.5)
+    assert _clique_cover_bound((1 << 5) - 1, adj) == 3
+    passes = recorded_passes(monkeypatch)
+    assert greedy_pack_count(d, 0.5, restarts=7, seed=1) == 2
+    assert len(passes) == 7
 
 
 def test_every_pass_goes_through_the_module_function(monkeypatch):

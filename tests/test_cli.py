@@ -342,6 +342,17 @@ ONE_LINE_ERRORS = {
     "sweep-t-grid-not-numbers": ("sweep-t --in {data} --t-grid a,b", "--t-grid"),
     "measure-param-given-twice": ("measure --in {data} --measures circles:t=0.5,t=0.6", "'t' given twice"),
     "measure-param-without-value": ("measure --in {data} --measures coverage:universe=", "bad parameter 'universe='"),
+    # A parameter no measure reads is refused, not reported in the key and ignored.
+    "measure-unknown-circles-param": (
+        "measure --in {data} --measures circles:t=0.75,restart=1",
+        "circles has no parameter 'restart'; it takes t, mode, restarts, seed",
+    ),
+    "measure-unknown-param": ("measure --in {data} --measures diversity:foo=2", "diversity has no parameter 'foo'"),
+    "compare-unknown-param": ("compare --in {data} --measures richness:t=0.5", "richness has no parameter 't'"),
+    "corr-fixed-unknown-param": (
+        "corr-fixed --in {data} --n 10 --runs 1 --measures dpp:restarts=2",
+        "dpp has no parameter 'restarts'",
+    ),
     "measure-directory-input": ("measure --in {tmp} --measures richness", "Is a directory"),
     "measure-non-utf8-input": ("measure --in {tmp}/latin1.tsv --measures richness", "latin1.tsv: not UTF-8"),
     "measure-non-utf8-universe": (
@@ -504,6 +515,52 @@ def test_corr_growing_with_dpp_loads_no_scipy(synthetic_tsv, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert [r["measure"] for r in read_json(tmp_path / "g.json")["results"]] == ["dpp", "diversity"]
+
+
+COMMAND_MODULES = ("axioms", "protocols", "novelty", "reference", "synthetic")
+
+
+def _loaded_command_modules(code: str, args=()) -> list[str]:
+    """The command modules a child process has loaded after running ``code``."""
+    probe = code + (
+        "\nimport sys\n"
+        f"print(','.join(m for m in {COMMAND_MODULES!r} if 'chemspace.' + m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    return [m for m in result.stdout.strip().split(",") if m]
+
+
+def test_cli_import_loads_no_command_modules(synthetic_tsv, tmp_path):
+    assert _loaded_command_modules("import chemspace.cli") == []
+    assert _loaded_command_modules("import chemspace") == []
+    run = "import sys\nfrom chemspace.cli import main\nassert main(sys.argv[1:]) == 0"
+    measure = ["measure", "--in", str(synthetic_tsv), "--measures", "richness,circles:t=0.5",
+               "--out", str(tmp_path / "m.json")]
+    assert _loaded_command_modules(run, measure) == []
+    fixed = ["corr-fixed", "--in", str(synthetic_tsv), "--n", "10", "--repeats", "5", "--runs", "2",
+             "--out", str(tmp_path / "f.json")]
+    assert _loaded_command_modules(run, fixed) == ["protocols"]
+
+
+def test_parser_choices_match_the_library():
+    from chemspace.cli import BIAS_CHOICES, NOVELTY_CHOICES
+    from chemspace.novelty import NOVELTY_KINDS
+    from chemspace.protocols import BIAS_MODES
+
+    assert BIAS_CHOICES == BIAS_MODES
+    assert NOVELTY_CHOICES == tuple(NOVELTY_KINDS)
+
+
+def test_default_protocol_measures_are_the_paper_list(synthetic_tsv, tmp_path):
+    from chemspace.protocols import DEFAULT_PROTOCOL_MEASURES
+
+    out = tmp_path / "f.json"
+    assert run_cli(["corr-fixed", "--in", synthetic_tsv, "--n", "10", "--repeats", "5", "--runs", "2",
+                    "--out", out]) == 0
+    assert read_json(out)["config"]["measures"] == list(DEFAULT_PROTOCOL_MEASURES)
 
 
 def test_package_exports_resolve():

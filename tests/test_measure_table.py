@@ -338,19 +338,32 @@ def test_gold_standard_names_the_first_unlabeled_record(annotated, tmp_path, cap
 
 
 def test_one_upper_triangle_per_selection(annotated, monkeypatch):
+    # The fixed-size selection gathers its triangle from the full matrix
+    # once and mirrors the submatrix from it; nothing re-reads the triangle
+    # out of the submatrix.
     import chemspace.measures
+    import chemspace.protocols
 
-    calls = []
-    original = chemspace.measures._offdiag
+    sliced, gathered = [], []
+    offdiag, gather = chemspace.measures._offdiag, chemspace.protocols.gather_upper
 
-    def counted(dmatrix):
-        calls.append(dmatrix.shape)
-        return original(dmatrix)
+    def counted_offdiag(dmatrix):
+        sliced.append(dmatrix.shape)
+        return offdiag(dmatrix)
 
-    monkeypatch.setattr(chemspace.measures, "_offdiag", counted)
+    def counted_gather(matrix, idx):
+        gathered.append(idx.size)
+        return gather(matrix, idx)
+
+    monkeypatch.setattr(chemspace.measures, "_offdiag", counted_offdiag)
+    monkeypatch.setattr(chemspace.protocols, "gather_upper", counted_gather)
     full = TanimotoOracle(annotated).full_matrix()
     subset = np.arange(0, len(annotated), 2)
     sel = _fixed_selection(full, subset, dataset_readers(annotated), 0)
     for spec in [*DEFAULT_PROTOCOL_MEASURES, "gold_standard"]:
         evaluate_selection(parse_measure_spec(spec), sel)
-    assert calls == [(subset.size, subset.size)]
+    assert gathered == [subset.size] and sliced == []
+    whole = gather_submatrix(full, subset)
+    assert sel.dmatrix.tobytes() == whole.tobytes()
+    assert sel.offdiag.tobytes() == offdiag(whole).tobytes()
+    assert sel.pair_sum == offdiag(whole).sum(dtype=np.longdouble)

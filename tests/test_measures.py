@@ -5,6 +5,7 @@ from chemspace.distances import MatrixOracle, TanimotoOracle
 from chemspace.errors import MeasureParamError, MeasureSizeError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
 from chemspace.measures import (
+    MEASURES,
     MeasureSpec,
     _offdiag,
     bottleneck,
@@ -20,6 +21,7 @@ from chemspace.measures import (
     sum_diameter,
     sum_diameter_from_dmatrix,
     sum_diversity,
+    validate_spec,
 )
 
 ALL_DISTANCE_FNS = [diversity, sum_diversity, diameter, sum_diameter, bottleneck, sum_bottleneck, dpp]
@@ -271,6 +273,35 @@ def test_parse_measure_spec_validation():
         parse_measure_spec("circles:t=1.0")
     with pytest.raises(MeasureParamError, match="mode"):
         parse_measure_spec("circles:t=0.5,mode=fancy")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("circles:t=0.75,restart=1", "restart"),
+        ("diversity:foo=2", "foo"),
+        ("richness:t=0.5", "t"),
+        ("dpp:seed=1", "seed"),
+        ("gs:t=0.5", "t"),
+        ("coverage:universes=u.txt", "universes"),
+    ],
+)
+def test_unknown_parameters_refused(text, key):
+    with pytest.raises(MeasureParamError, match=f"has no parameter {key!r}"):
+        parse_measure_spec(text)
+
+
+def test_each_kind_names_the_parameters_it_takes():
+    assert MEASURES["circles"].params == ("t", "mode", "restarts", "seed")
+    assert MEASURES["coverage"].params == ("kind", "universe")
+    assert all(not m.params for kind, m in MEASURES.items() if kind not in ("circles", "coverage"))
+    parse_measure_spec("circles:t=0.5,mode=greedy,restarts=2,seed=3")
+    parse_measure_spec("coverage:kind=FG")
+    # A spec built in code is held to the same names as a parsed one.
+    with pytest.raises(MeasureParamError, match="^circles has no parameter 'restart'; it takes t, mode"):
+        validate_spec(MeasureSpec("circles", {"t": 0.5, "restart": 1}))
+    with pytest.raises(MeasureParamError, match="^sum_bottleneck has no parameter 't'; it takes none$"):
+        evaluate_measure(MeasureSpec("sum_bottleneck", {"t": 0.5}), [0], oracle=MatrixOracle(np.zeros((1, 1))))
 
 
 def test_evaluate_measure_dispatch():
