@@ -23,7 +23,7 @@ _EXPORTS = {
         "quadrant_table",
         "replay_counterexample",
     ),
-    "circles": ("PackingResult", "circles_auto", "circles_exact", "circles_greedy"),
+    "circles": ("PackingPolicy", "PackingResult", "circles_exact", "packing_policy"),
     "distances": ("MatrixOracle", "TanimotoOracle"),
     "errors": ("ChemSpaceError",),
     "fingerprints": (

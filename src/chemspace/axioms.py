@@ -29,10 +29,10 @@ from typing import Any
 
 import numpy as np
 
-from .circles import max_independent_set, threshold_adjacency
+from .circles import EXACT, ConflictMasks, threshold_adjacency
 from .distances import gather_submatrix
 from .errors import AxiomCheckError
-from .measures import MEASURES, MeasureSpec, Selection, parse_measure_spec
+from .measures import MEASURES, MeasureSpec, PolicyReader, Selection, parse_measure_spec
 
 TOLERANCE = 1e-9
 
@@ -112,6 +112,9 @@ class World:
         )
 
 
+WORLD_READER = PolicyReader("the axiom harness", (), "exact")
+
+
 def world_selection(world: World, idx: list[int]) -> Selection:
     """The selection of a world's points ``idx`` (sorted, without repeats).
 
@@ -120,17 +123,15 @@ def world_selection(world: World, idx: list[int]) -> Selection:
     subgraph of the world's conflict bitmasks at t that the points induce.
     """
     avail = sum(1 << i for i in idx)
-
-    def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
-        return float(max_independent_set(world.conflicts(float(spec.param("t"))), avail)[0]), {}
-
-    return Selection(idx, lambda: gather_submatrix(world.matrix, np.array(idx)), pack,
+    return Selection(idx, lambda: gather_submatrix(world.matrix, np.array(idx)), lambda spec: EXACT,
+                     lambda t: ConflictMasks.at_hand(world.conflicts(t), avail),
                      key_codes=lambda i: world.key_codes[i], fragments=world.fragments.__getitem__)
 
 
 def world_measure(spec: MeasureSpec, subset, world: World) -> float:
     """Evaluate one measure on a subset of a world's points, taken sorted and
     without repeats; 0.0 on the empty subset."""
+    WORLD_READER.check(spec)
     idx = sorted(int(i) for i in set(subset))
     return MEASURES[spec.kind].batch(world_selection(world, idx), spec)[0] if idx else 0.0
 
@@ -363,6 +364,8 @@ def _search_subadditivity(
     """
     if trials < 1:
         raise AxiomCheckError(f"trials must be at least 1, got {trials}")
+    for spec in specs:
+        WORLD_READER.check(spec)
     seeded = [_seed_worlds(spec.kind) for spec in specs]
     budget = [max(trials, len(constructions)) for constructions in seeded]
     found: list[CheckResult | None] = [None] * len(specs)

@@ -2,19 +2,21 @@
 distances strictly above a threshold t.
 
 The count equals the maximum independent set of the conflict graph (edge
-where d <= t). Both solvers read that graph as Python-int bitmasks, bit j of
-point i's mask set when d(i, j) <= t. Small sets are solved exactly by branch
-and bound; larger sets fall back to best-of-k greedy sphere exclusion, each
-pass OR-ing the masks of its centers into one covered mask. Where all the
-masks are at hand (``greedy_pack_count``, the fixed-size protocol's packer),
-the greedy clique cover of the conflict graph bounds every packing from
-above, and best-of-k stops at the first pass that reaches that bound.
+where d <= t), read as Python-int bitmasks, bit j of point i's mask set when
+d(i, j) <= t. Every count is decided by a ``PackingPolicy``: exact branch and
+bound, or best-of-k greedy sphere exclusion, each pass OR-ing the masks of
+its centers into one covered mask, or one greedy pass in arrival order.
+Where all the masks are at hand (the fixed-size protocol's packer), the
+greedy clique cover of the conflict graph bounds every packing from above,
+and best-of-k stops at the first pass that reaches that bound.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,37 +27,12 @@ DEFAULT_RESTARTS = 8
 EXACT_CAP_ENV = "CHEMSPACE_EXACT_CAP"
 
 
-def resolve_exact_cap() -> int:
-    """Exact-solver size cap: the env override, else 64."""
-    env = os.environ.get(EXACT_CAP_ENV)
-    if not env:
-        return DEFAULT_EXACT_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
-        raise MeasureParamError(f"{EXACT_CAP_ENV} must be a non-negative integer, got {env!r}")
-    return cap
-
-
-def refuse_exact_over_cap(size: int) -> None:
-    """Refuse an exact solve on more points than the exact-solver cap."""
-    cap = resolve_exact_cap()
-    if size > cap:
-        raise MeasureSizeError(
-            f"exact packing refused for n={size} > cap {cap}; use greedy mode "
-            f"(or raise {EXACT_CAP_ENV})"
-        )
-
-
-@dataclass(frozen=True)
-class PackingResult:
-    """A witnessed packing: centers are pairwise farther than t apart."""
+class PackingResult(NamedTuple):
+    """A witnessed packing: the centers, positions among the packed points,
+    are pairwise farther than t apart. ``mode`` is "exact" or "greedy"."""
 
     count: int
     centers: tuple[int, ...]
-    t: float
     mode: str
     optimal: bool
 
@@ -145,18 +122,6 @@ def max_independent_set(adj: list[int], avail: int | None = None) -> tuple[int, 
     return best_size, best_mask
 
 
-def circles_exact(subset, oracle, t: float) -> PackingResult:
-    """Optimal packing count via branch-and-bound maximum independent set."""
-    idx = np.asarray(list(subset), dtype=np.int64)
-    refuse_exact_over_cap(idx.size)
-    if idx.size == 0:
-        return PackingResult(count=0, centers=(), t=t, mode="exact", optimal=True)
-    adj = threshold_adjacency(oracle.submatrix(idx), t)
-    size, mask = max_independent_set(adj)
-    centers = tuple(int(idx[i]) for i in range(idx.size) if mask >> i & 1)
-    return PackingResult(count=size, centers=centers, t=t, mode="exact", optimal=True)
-
-
 def admits(dists_to_centers: np.ndarray, t: float) -> bool:
     """The admission rule of sphere exclusion: a point joins the centers when
     it is farther than t from every one of them, so always when there are
@@ -180,88 +145,136 @@ def greedy_pack_positions(conflict, *, order) -> list[int]:
     return centers
 
 
-def _best_of_k(
-    conflict, n: int, restarts: int = DEFAULT_RESTARTS, seed: int = 0, bound: int | None = None
-) -> list[int]:
-    """Best of k sphere-exclusion passes: the first in input order, the rest
-    over seeded random permutations; ties keep the earliest pass. Fewer than
-    one pass is refused, also when there are no points to pass over.
+@dataclass(slots=True)
+class ConflictMasks:
+    """The conflict graph of points 0..n-1 at one threshold: bit j of
+    ``mask(i)`` is set when points i and j are within t. ``masks`` lists
+    every mask where they are all at hand; ``avail`` is the bitmask of the
+    points to pack, all of them when None."""
 
-    ``bound`` is an upper bound on any packing of the n points. The passes
-    stop at the first one that reaches it: no later pass can beat it, and a
-    tie would keep it, so the result is that of all k passes. The permutation
-    generator is only made when a second pass runs.
+    n: int
+    mask: Callable[[int], int]
+    masks: list[int] | None = None
+    avail: int | None = None
+
+    @classmethod
+    def at_hand(cls, masks: list[int], avail: int | None = None) -> ConflictMasks:
+        return cls(len(masks), masks.__getitem__, masks, avail)
+
+
+def oracle_conflicts(oracle, subset, t: float) -> ConflictMasks:
+    """The conflict graph of the points ``subset``, each mask computed from
+    one oracle row when it is read: a greedy pass reads only its centers'
+    rows, so memory stays O(centers * n) unless the oracle has cached its
+    full matrix, whose rows are bit for bit the same."""
+    idx = np.asarray(subset, dtype=np.int64)
+    return ConflictMasks(
+        idx.size, lambda pos: _bitmasks(oracle.row(int(idx[pos]), targets=idx)[None, :] <= t)[0]
+    )
+
+
+def _best_of_k(conflicts: ConflictMasks, restarts: int, seed: int) -> list[int]:
+    """Best of ``restarts`` sphere-exclusion passes over the points to pack:
+    the first in index order, the rest over seeded random permutations; ties
+    keep the earliest pass.
+
+    Where every mask is at hand their greedy clique cover bounds any packing,
+    and the passes stop at the first that reaches it: no later pass can beat
+    it and a tie would keep it, so the result is that of all k passes.
     """
-    if restarts < 1:
-        raise MeasureParamError(f"circles restarts must be a positive integer, got {restarts!r}")
-    if not n:
+    n, avail = conflicts.n, conflicts.avail
+    points = range(n) if avail is None else [p for p in range(n) if avail >> p & 1]
+    if not points:
         return []
-    best = greedy_pack_positions(conflict, order=range(n))
-    if restarts == 1 or (bound is not None and len(best) >= bound):
+    best = greedy_pack_positions(conflicts.mask, order=points)
+    if restarts == 1:
+        return best
+    bound = math.inf
+    if conflicts.masks is not None:
+        bound = _clique_cover_bound((1 << n) - 1 if avail is None else avail, conflicts.masks)
+    if len(best) >= bound:
         return best
     rng = np.random.default_rng(seed)
     for _ in range(1, restarts):
-        centers = greedy_pack_positions(conflict, order=rng.permutation(n).tolist())
+        order = [points[i] for i in rng.permutation(len(points)).tolist()]
+        centers = greedy_pack_positions(conflicts.mask, order=order)
         if len(centers) > len(best):
             best = centers
-            if bound is not None and len(best) >= bound:
+            if len(best) >= bound:
                 break
     return best
 
 
-def circles_greedy(
-    subset,
-    oracle,
-    t: float,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-) -> PackingResult:
-    """Best-of-k greedy sphere exclusion over oracle rows.
+@dataclass(frozen=True)
+class PackingPolicy:
+    """How a circles count is computed: "exact" (branch and bound),
+    "best_of_k" (the best of ``restarts`` greedy passes, all but the first
+    over permutations drawn from ``seed``) or "arrival" (one greedy pass in
+    arrival order). Only best-of-k reads its seed."""
 
-    Only the rows of centers are read. A Tanimoto oracle computes each with
-    the popcount kernel, so memory stays O(centers * n), unless it has cached
-    its full matrix (``measure`` builds it when another distance measure needs
-    it); then the rows are read from that matrix, bit for bit the same.
-    """
+    kind: str
+    restarts: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("exact", "best_of_k", "arrival"):
+            raise ValueError(f"unknown packing policy kind: {self.kind!r}")
+        if not isinstance(self.restarts, int) or self.restarts < 1:
+            raise MeasureParamError(
+                f"circles restarts must be a positive integer, got {self.restarts!r}"
+            )
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise MeasureParamError(
+                f"circles seed must be a non-negative integer, got {self.seed!r}"
+            )
+
+    @property
+    def seeded(self) -> bool:
+        return self.kind == "best_of_k"
+
+    def pack(self, conflicts: ConflictMasks) -> PackingResult:
+        """The packing of the points ``conflicts.avail``; centers are positions."""
+        if self.kind != "exact":
+            centers = _best_of_k(conflicts, self.restarts if self.seeded else 1, self.seed)
+            return PackingResult(len(centers), tuple(centers), "greedy", False)
+        masks = conflicts.masks or [conflicts.mask(p) for p in range(conflicts.n)]
+        size, chosen = max_independent_set(masks, conflicts.avail)
+        centers = tuple([p for p in range(conflicts.n) if chosen >> p & 1])
+        return PackingResult(size, centers, "exact", True)
+
+
+EXACT = PackingPolicy("exact")
+ARRIVAL = PackingPolicy("arrival")
+
+
+def packing_policy(
+    mode: str = "auto", restarts: int = DEFAULT_RESTARTS, seed: int = 0, size: int | None = None
+) -> PackingPolicy:
+    """The policy of a circles mode on ``size`` points, and the one place that
+    applies the exact cap (``CHEMSPACE_EXACT_CAP``, else 64): greedy is best
+    of ``restarts`` passes (one pass in arrival order when restarts is 1),
+    exact is refused above the cap, and auto is exact up to it. Without a
+    size the cap is not read, and auto reads as greedy."""
+    if mode not in ("auto", "exact", "greedy"):
+        raise MeasureParamError(f"circles mode must be auto|exact|greedy, got {mode!r}")
+    greedy = PackingPolicy("arrival" if restarts == 1 else "best_of_k", restarts, seed)
+    if mode == "greedy" or size is None:
+        return EXACT if mode == "exact" else greedy
+    env = os.environ.get(EXACT_CAP_ENV) or str(DEFAULT_EXACT_CAP)
+    if not env.strip().isdigit():
+        raise MeasureParamError(f"{EXACT_CAP_ENV} must be a non-negative integer, got {env!r}")
+    if size <= int(env):
+        return EXACT
+    if mode == "exact":
+        raise MeasureSizeError(
+            f"exact packing refused for n={size} > cap {int(env)}; use greedy mode "
+            f"(or raise {EXACT_CAP_ENV})"
+        )
+    return greedy
+
+
+def circles_exact(subset, oracle, t: float) -> PackingResult:
+    """Optimal packing of the points ``subset``, refused above the exact cap;
+    its centers are positions in ``subset``."""
     idx = np.asarray(list(subset), dtype=np.int64)
-
-    def conflict(pos: int) -> int:
-        return _bitmasks(oracle.row(int(idx[pos]), targets=idx)[None, :] <= t)[0]
-
-    best = _best_of_k(conflict, int(idx.size), restarts, seed)
-    centers_idx = tuple(int(idx[p]) for p in best)
-    return PackingResult(
-        count=len(best), centers=centers_idx, t=t, mode="greedy", optimal=False
-    )
-
-
-def greedy_pack_count(
-    dmatrix: np.ndarray, t: float, restarts: int = DEFAULT_RESTARTS, seed: int = 0
-) -> int:
-    """Greedy packing count straight from a precomputed distance matrix; the
-    conflict masks are built once and shared by every pass. Their greedy
-    clique cover bounds every packing, so the passes stop at the first one
-    that reaches it, a certified optimum; the count is that of all k passes."""
-    adj = threshold_adjacency(dmatrix, t)
-    bound = _clique_cover_bound((1 << len(adj)) - 1, adj) if restarts > 1 else None
-    return len(_best_of_k(adj.__getitem__, len(adj), restarts, seed, bound))
-
-
-def circles_auto(
-    subset,
-    oracle,
-    t: float,
-    mode: str = "auto",
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-) -> PackingResult:
-    """Dispatch to the exact solver under the size cap, greedy above it.
-
-    This is the one place that chooses between the two for a spec's mode.
-    """
-    idx = np.asarray(list(subset), dtype=np.int64)
-    cap = resolve_exact_cap()
-    if mode == "exact" or (mode != "greedy" and idx.size <= cap):
-        return circles_exact(idx, oracle, t)
-    return circles_greedy(idx, oracle, t, restarts=restarts, seed=seed)
-
+    return packing_policy("exact", size=idx.size).pack(oracle_conflicts(oracle, idx, t))

@@ -34,6 +34,7 @@ from .fingerprints import Fingerprint, load_dataset, write_dataset
 from .measures import (
     MEASURES,
     MeasureSpec,
+    PolicyReader,
     Selection,
     dataset_selection,
     evaluate_selection,
@@ -47,6 +48,8 @@ VOLATILE_KEYS = ("timestamp", "wall_time_s")
 # the keys of ``NOVELTY_KINDS``.
 BIAS_CHOICES = ("uniform", "similar", "most-similar")
 NOVELTY_CHOICES = ("diversity", "sum_bottleneck", "circles")
+# Each repeat packs from --seed plus its number.
+COMPARE_READER = PolicyReader("compare", ("mode", "restarts"))
 
 
 def _json_default(obj):
@@ -200,19 +203,14 @@ def _compare_rows(ds_path, specs: list[MeasureSpec], args) -> list[dict[str, Any
     """The rows of one ``compare`` input. Its dataset and selection live only
     in this call, so they are freed before the next input is loaded."""
     sel = _checked(specs, load_dataset(ds_path))
+    n = len(sel.indices)
     rows = []
     for spec in specs:
-
-        def seeded(rep: int) -> MeasureSpec:
-            if spec.kind != "circles":
-                return spec
-            return MeasureSpec("circles", {**spec.params, "seed": args.seed + rep})
-
-        first = evaluate_selection(seeded(0), sel)
-        # Only a greedy packing depends on the seed; circles_auto chose the mode.
-        stochastic = first.metadata.get("mode") == "greedy"
-        reps = range(1, args.repeats if stochastic else 1)
-        values = [first.value] + [evaluate_selection(seeded(rep), sel).value for rep in reps]
+        # Only a packing whose policy reads its seed, on a nonempty set, varies with it.
+        stochastic = spec.kind == "circles" and n > 0 and COMPARE_READER.policy(spec, n).seeded
+        reps = [MeasureSpec("circles", {**spec.params, "seed": args.seed + rep})
+                for rep in range(args.repeats)] if stochastic else [spec]
+        values = [evaluate_selection(rep, sel).value for rep in reps]
         mean = float(np.mean(values))
         rel_dev = 0.0
         if stochastic and mean != 0.0 and len(values) > 1:
@@ -234,6 +232,8 @@ def cmd_compare(args) -> int:
     if args.repeats < 1:
         raise MeasureParamError(f"repeats must be at least 1, got {args.repeats}")
     specs = _parse_measures(args.measures)
+    for spec in specs:
+        COMPARE_READER.check(spec)
     rows = [row for ds_path in args.inputs for row in _compare_rows(ds_path, specs, args)]
     config = {
         "inputs": [str(p) for p in args.inputs],

@@ -9,8 +9,9 @@ on a whole ``Selection`` and its growth curve, the value on each of the
 selection's prefixes in point order. ``evaluate_measure`` (library and CLI),
 the fixed-size protocol and the axiom worlds read the whole-set value, and the
 growing-size protocol reads the curve; they differ only in how they build the
-selection and in the circles policy they pass. The kernels (``*_from_dmatrix``
-and ``*_prefix``) operate on a precomputed pairwise distance submatrix. A
+selection, and in the ``PolicyReader`` that makes each circles spec a packing
+policy. The kernels (``*_from_dmatrix`` and ``*_prefix``) operate on a
+precomputed pairwise distance submatrix. A
 ``Selection`` caches that submatrix, its upper triangle and the triangle's
 sum, so the distance measures on one selection build each once; richness
 and the gold standard count distinct codes in a column of fingerprint or
@@ -26,10 +27,12 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .circles import (
+    ARRIVAL,
     DEFAULT_RESTARTS,
-    circles_auto,
-    greedy_pack_positions,
-    refuse_exact_over_cap,
+    ConflictMasks,
+    PackingPolicy,
+    oracle_conflicts,
+    packing_policy,
     threshold_adjacency,
 )
 from .errors import MeasureParamError, MeasureSizeError, MissingFragmentsError
@@ -131,17 +134,35 @@ def _check_circles(spec: MeasureSpec, size: int | None) -> None:
         raise MeasureParamError("circles requires parameter t")
     if not isinstance(t, (int, float)) or not 0.0 <= float(t) < 1.0:
         raise MeasureParamError(f"circles threshold t must be in [0,1), got {t!r}")
-    mode = spec.param("mode", "auto")
-    if mode not in ("auto", "exact", "greedy"):
-        raise MeasureParamError(f"circles mode must be auto|exact|greedy, got {mode!r}")
-    if mode == "exact" and size is not None:
-        refuse_exact_over_cap(size)
-    restarts = spec.param("restarts", DEFAULT_RESTARTS)
-    if not isinstance(restarts, int) or restarts < 1:
-        raise MeasureParamError(f"circles restarts must be a positive integer, got {restarts!r}")
-    seed = spec.param("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise MeasureParamError(f"circles seed must be a non-negative integer, got {seed!r}")
+    MEASURE_READER.policy(spec, size if spec.param("mode") == "exact" else None)
+
+
+@dataclass(frozen=True)
+class PolicyReader:
+    """How one entry point reads a circles spec into its packing policy: t,
+    the parameters in ``reads``, and ``mode`` when it does not read mode."""
+
+    who: str
+    reads: tuple[str, ...] = ("mode", "restarts", "seed")
+    mode: str = "auto"
+
+    def check(self, spec: MeasureSpec) -> None:
+        """Refuse a circles parameter the reader would not read, bar its mode."""
+        takes = ["t", *self.reads] + ([] if "mode" in self.reads else [f"mode={self.mode}"])
+        for name, value in spec.params.items() if spec.kind == "circles" else ():
+            if name not in takes and f"{name}={value}" not in takes:
+                raise MeasureParamError(
+                    f"{spec.key()}: {self.who} takes only circles {', '.join(takes)}; drop {name}"
+                )
+
+    def policy(self, spec: MeasureSpec, size: int | None = None) -> PackingPolicy:
+        """The policy of ``spec`` on ``size`` points."""
+        read = {name: value for name, value in spec.params.items() if name in self.reads}
+        mode, restarts = read.get("mode", self.mode), read.get("restarts", DEFAULT_RESTARTS)
+        return packing_policy(mode, restarts, read.get("seed", 0), size)
+
+
+MEASURE_READER = PolicyReader("measure")
 
 
 def _refuse_large_dpp(size: int | None) -> None:
@@ -353,11 +374,14 @@ def _covered_prefix(sel: Selection, spec: MeasureSpec) -> np.ndarray:
 def _circles_prefix(sel: Selection, spec: MeasureSpec) -> np.ndarray:
     """Greedy packing count of every prefix: one sphere-exclusion pass in
     point order admits each center when it arrives."""
-    n = len(sel.indices)
-    adjacency = threshold_adjacency(sel.dmatrix, float(spec.param("t")))
-    centers = np.zeros(n)
-    centers[greedy_pack_positions(adjacency.__getitem__, order=range(n))] = 1.0
+    centers = np.zeros(len(sel.indices))
+    centers[list(ARRIVAL.pack(sel.conflict_masks(float(spec.param("t")))).centers)] = 1.0
     return np.cumsum(centers)
+
+
+def _circles_batch(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
+    packing = sel.policy(spec).pack(sel.conflict_masks(float(spec.param("t"))))
+    return float(packing.count), {"mode": packing.mode, "optimal": packing.optimal}
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +402,14 @@ class Selection:
     ``label_codes`` map an index array to the points' fingerprint and
     class-label codes, equal exactly where the fingerprints or labels are;
     ``fragments`` reads one point's fragment set.
-    ``pack(selection, spec)`` is the caller's circles policy for the value on
-    the whole selection; it returns the count and the metadata to report.
+    ``policy(spec)`` is a circles spec's packing policy, and ``conflicts(t)``
+    the conflict masks at t, taken from ``dmatrix`` when not given.
     """
 
     indices: Any
     submatrix: Callable[[], np.ndarray] | None = None
-    pack: Callable[["Selection", MeasureSpec], tuple[float, dict]] | None = None
+    policy: Callable[[MeasureSpec], PackingPolicy] | None = None
+    conflicts: Callable[[float], ConflictMasks] | None = None
     key_codes: Callable[[Any], np.ndarray] | None = None
     label_codes: Callable[[Any], np.ndarray] | None = None
     fragments: Callable[[int], Any] | None = None
@@ -417,6 +442,11 @@ class Selection:
             self._pair_sum = self.offdiag.sum(dtype=np.longdouble)
         return self._pair_sum
 
+    def conflict_masks(self, t: float) -> ConflictMasks:
+        if self.conflicts is not None:
+            return self.conflicts(t)
+        return ConflictMasks.at_hand(threshold_adjacency(self.dmatrix, t))
+
 
 def dataset_readers(dataset: Dataset) -> dict[str, Callable[[Any], Any]]:
     """The ``key_codes``, ``label_codes`` and ``fragments`` readers of a
@@ -442,23 +472,13 @@ def dataset_readers(dataset: Dataset) -> dict[str, Callable[[Any], Any]]:
 
 
 def dataset_selection(subset, dataset: Dataset | None = None, oracle=None) -> Selection:
-    """Selection of dataset records. Circles follows the spec's mode, and
-    ``circles_auto`` applies the exact cap."""
+    """Selection of dataset records. Circles packs by ``MEASURE_READER``'s
+    policy on the subset's size, over masks read one oracle row at a time."""
     idx = _as_indices(subset)
-
-    def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
-        packing = circles_auto(
-            idx,
-            oracle,
-            t=float(spec.param("t")),
-            mode=str(spec.param("mode", "auto")),
-            restarts=int(spec.param("restarts", DEFAULT_RESTARTS)),
-            seed=int(spec.param("seed", 0)),
-        )
-        return float(packing.count), {"mode": packing.mode, "optimal": packing.optimal}
-
     readers = dataset_readers(dataset) if dataset is not None else {}
-    return Selection(idx, lambda: oracle.submatrix(idx), pack, **readers)
+    policy = lambda spec: MEASURE_READER.policy(spec, idx.size)
+    return Selection(idx, lambda: oracle.submatrix(idx), policy,
+                     lambda t: oracle_conflicts(oracle, idx, t), **readers)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +557,7 @@ MEASURES: dict[str, Measure] = {
         "distances", _dpp_batch, lambda s, spec: _dpp_prefix(s.dmatrix),
         check=lambda spec, size: _refuse_large_dpp(size)),
     "circles": Measure(
-        "distances", lambda s, spec: s.pack(s, spec), _circles_prefix, check=_check_circles,
+        "distances", _circles_batch, _circles_prefix, check=_check_circles,
         params=("t", "mode", "restarts", "seed")),
 }
 

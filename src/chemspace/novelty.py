@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circles import DEFAULT_RESTARTS, admits, circles_greedy
+from .circles import DEFAULT_RESTARTS, admits, oracle_conflicts, packing_policy
 from .distances import DistanceOracle, TanimotoOracle, tanimoto_from_row
 from .errors import DimensionMismatchError
 from .fingerprints import Dataset, Fingerprint
@@ -62,8 +62,9 @@ class NoveltyContext:
         if against_centers:
             if t is None:
                 raise ValueError("against_centers requires a threshold t")
-            packing = circles_greedy(members, oracle, t=t, restarts=restarts, seed=seed)
-            members = np.asarray(packing.centers, dtype=np.int64)
+            policy = packing_policy("greedy", restarts, seed)
+            packing = policy.pack(oracle_conflicts(oracle, members, t))
+            members = members[list(packing.centers)]
         return cls(members=members, oracle=oracle, dataset=dataset, t=t)
 
     def distances(self, candidate: Fingerprint | int) -> np.ndarray:

@@ -12,18 +12,19 @@ function of (dataset, parameters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
 
-from .circles import DEFAULT_RESTARTS, greedy_pack_count
-from .errors import MeasureParamError, ProtocolError
+from .circles import DEFAULT_RESTARTS
+from .errors import ProtocolError
 from .fingerprints import Dataset
 from .distances import TanimotoOracle, gather_submatrix, gather_upper
 from .measures import (
     MEASURES,
     MeasureSpec,
+    PolicyReader,
     Selection,
     dataset_readers,
     parse_measure_spec,
@@ -113,22 +114,21 @@ def _check_sample(dataset: Dataset, n: int) -> None:
         raise ProtocolError(f"subset size n={n} not in [1, {len(dataset)}]")
 
 
-_IGNORED_CIRCLES_PARAMS = {
-    "seed": "protocols draw each packing's seed from the run seed",
-    "restarts": "the growing-size protocol packs once, in arrival order",
-}
+# Each fixed-size packing draws its seed from the run seed, and each growth
+# curve is one greedy pass in arrival order.
+FIXED_READER = PolicyReader("the fixed-size protocol", ("restarts",), "greedy")
+GROWING_READER = PolicyReader("the growing-size protocol", (), "greedy")
 
 
 def _resolve_specs(
     measures: Sequence[MeasureSpec | str],
     n: int,
     counts: dict[str, int],
-    ignored: tuple[str, ...],
+    reader: PolicyReader,
 ) -> list[MeasureSpec]:
     """Check a protocol's run counts, then parse and check every spec for it
-    on n-point sets, before any work. Protocols pack greedily, so an explicit
-    circles mode other than greedy is refused, and so is any circles param
-    named in ``ignored``, which the protocol would not read."""
+    on n-point sets, before any work; ``reader`` refuses a circles parameter
+    the protocol would not read."""
     for name, count in counts.items():
         if count < 1:
             raise ProtocolError(f"{name} must be at least 1, got {count}")
@@ -136,15 +136,7 @@ def _resolve_specs(
     for m in measures:
         spec = parse_measure_spec(m) if isinstance(m, str) else m
         validate_spec(spec, size=n)
-        if spec.kind == "circles" and spec.param("mode", "greedy") != "greedy":
-            raise MeasureParamError(
-                f"{spec.key()}: protocols pack greedily; drop mode or set mode=greedy"
-            )
-        for name in ignored:
-            if spec.kind == "circles" and name in spec.params:
-                raise MeasureParamError(
-                    f"{spec.key()}: {_IGNORED_CIRCLES_PARAMS[name]}; drop {name}"
-                )
+        reader.check(spec)
         out.append(spec)
     return out
 
@@ -167,18 +159,13 @@ def _sample_label_pool(rng: np.random.Generator, dataset: Dataset, n: int) -> np
 # ---------------------------------------------------------------------------
 # Fixed-size setting.
 
-def _fixed_selection(full: np.ndarray, subset: np.ndarray, readers: dict, seed: int) -> Selection:
+def _fixed_selection(full: np.ndarray, subset: np.ndarray, readers: dict, policy) -> Selection:
     """One repeat's subset. Distances come from the precomputed matrix, which
     is exactly symmetric with a zero diagonal: only the subset's upper
-    triangle is gathered, and the submatrix is mirrored from it. Every
-    circles spec is best-of-k greedy over its rows from the repeat's seed,
-    stopped at a certified optimum."""
-
-    def pack(sel: Selection, spec: MeasureSpec) -> tuple[float, dict]:
-        restarts = int(spec.param("restarts", DEFAULT_RESTARTS))
-        return float(greedy_pack_count(sel.dmatrix, float(spec.param("t")), restarts, seed)), {}
-
-    return Selection(subset, pack=pack, triangle=lambda: gather_upper(full, subset), **readers)
+    triangle is gathered, and the submatrix is mirrored from it. ``policy``
+    maps a circles spec to its packing policy, which packs the conflict masks
+    of the submatrix, all at hand."""
+    return Selection(subset, policy=policy, triangle=lambda: gather_upper(full, subset), **readers)
 
 
 def protocol_fixed(
@@ -200,7 +187,8 @@ def protocol_fixed(
     measure.
     """
     _check_sample(dataset, n)
-    specs = _resolve_specs(measures, n, {"repeats": repeats, "runs": runs}, ("seed",))
+    specs = _resolve_specs(measures, n, {"repeats": repeats, "runs": runs}, FIXED_READER)
+    policies = {spec.key(): FIXED_READER.policy(spec) for spec in specs if spec.kind == "circles"}
     full = TanimotoOracle(dataset).full_matrix()
     readers = dataset_readers(dataset)
     gs_spec = MeasureSpec("gold_standard")
@@ -217,7 +205,9 @@ def protocol_fixed(
             pool = _sample_label_pool(rng_sample, dataset, n)
             subset = rng_sample.choice(pool, size=n, replace=False)
             pack_seed = int(np.random.default_rng(measure_ss).integers(0, 2**31))
-            sel = _fixed_selection(full, subset, readers, pack_seed)
+            sel = _fixed_selection(
+                full, subset, readers, lambda spec: replace(policies[spec.key()], seed=pack_seed)
+            )
             gs_vals[rep] = MEASURES["gold_standard"].batch(sel, gs_spec)[0]
             for spec, vals in columns:
                 vals[rep] = MEASURES[spec.kind].batch(sel, spec)[0]
@@ -321,7 +311,7 @@ def protocol_growing(
     _check_sample(dataset, n)
     if bias not in BIAS_MODES:
         raise ProtocolError(f"bias must be one of {BIAS_MODES}, got {bias!r}")
-    specs = _resolve_specs(measures, n, {"runs": runs}, ("seed", "restarts"))
+    specs = _resolve_specs(measures, n, {"runs": runs}, GROWING_READER)
     gs_spec = MeasureSpec("gold_standard")
     tracked = [gs_spec] + [s for s in specs if s.kind != "gold_standard"]
     full = TanimotoOracle(dataset).full_matrix()

@@ -20,7 +20,7 @@ from chemspace.axioms import (
     quadrant_table,
     replay_counterexample,
 )
-from chemspace.circles import circles_auto, circles_exact, circles_greedy, threshold_adjacency
+from chemspace.circles import circles_exact, oracle_conflicts, packing_policy, threshold_adjacency
 from chemspace.cli import main as cli_main, strip_volatile
 from chemspace.distances import MatrixOracle, TanimotoOracle
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, write_dataset
@@ -144,7 +144,8 @@ def test_criterion_3_packing_exact_oracle():
                 if valid[mask]:
                     best = max(best, mask.bit_count())
             exact = circles_exact(range(n), oracle, t).count
-            greedy = circles_greedy(range(n), oracle, t, restarts=8, seed=inst).count
+            greedy_policy = packing_policy("greedy", restarts=8, seed=inst)
+            greedy = greedy_policy.pack(oracle_conflicts(oracle, range(n), t)).count
             comparisons += 1
             if exact != best:
                 exact_mismatches += 1
@@ -208,7 +209,8 @@ def test_criterion_5_richness_identity():
             [MoleculeRecord(f"m{i}", Fingerprint.from_bits(r)) for i, r in enumerate(rows)]
         )
         oracle = TanimotoOracle(ds)
-        packing = circles_auto(range(n), oracle, t=0.0, seed=trial)
+        policy = packing_policy("auto", seed=trial, size=n)
+        packing = policy.pack(oracle_conflicts(oracle, range(n), t=0.0))
         if packing.count != richness(range(n), ds):
             mismatches += 1
     criterion(

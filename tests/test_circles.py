@@ -4,19 +4,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemspace.circles import (
+    DEFAULT_RESTARTS,
+    EXACT,
+    ConflictMasks,
+    PackingPolicy,
     _best_of_k,
     _clique_cover_bound,
-    circles_auto,
     circles_exact,
-    circles_greedy,
-    greedy_pack_count,
     max_independent_set,
+    oracle_conflicts,
+    packing_policy,
     threshold_adjacency,
 )
 from chemspace.distances import MatrixOracle, TanimotoOracle
 from chemspace.errors import MeasureParamError, MeasureSizeError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
 from chemspace.measures import MEASURES, MeasureSpec, Selection, richness
+
+
+def pack(subset, oracle, t, mode="greedy", restarts=DEFAULT_RESTARTS, seed=0):
+    """The packing of the points ``subset``, read one oracle row at a time,
+    by the policy of a circles mode on their number; centers are positions."""
+    idx = list(subset)
+    return packing_policy(mode, restarts, seed, len(idx)).pack(oracle_conflicts(oracle, idx, t))
+
+
+def pack_matrix(dmatrix, t, restarts=DEFAULT_RESTARTS, seed=0):
+    """Best-of-k packing count of a distance matrix, every mask at hand."""
+    policy = packing_policy("greedy", restarts, seed)
+    return policy.pack(ConflictMasks.at_hand(threshold_adjacency(dmatrix, t))).count
 
 
 def random_metric_oracle(rng, n):
@@ -107,7 +123,7 @@ def test_greedy_never_exceeds_exact_and_is_maximal():
         oracle = random_metric_oracle(rng, n)
         t = 0.5
         exact = circles_exact(range(n), oracle, t).count
-        greedy = circles_greedy(range(n), oracle, t, restarts=4, seed=trial)
+        greedy = pack(range(n), oracle, t, restarts=4, seed=trial)
         assert greedy.count <= exact
         assert not greedy.optimal
         # Centers witness the packing: pairwise strictly beyond t.
@@ -128,14 +144,14 @@ def test_greedy_t_zero_equals_richness():
         ds = fingerprint_dataset(rng, int(rng.integers(1, 100)))
         oracle = TanimotoOracle(ds)
         idx = range(len(ds))
-        assert circles_greedy(idx, oracle, t=0.0, restarts=2, seed=trial).count == richness(idx, ds)
+        assert pack(idx, oracle, t=0.0, restarts=2, seed=trial).count == richness(idx, ds)
 
 
 def test_greedy_deterministic_given_seed():
     rng = np.random.default_rng(6)
     oracle = random_metric_oracle(rng, 30)
-    a = circles_greedy(range(30), oracle, t=0.45, restarts=8, seed=123)
-    b = circles_greedy(range(30), oracle, t=0.45, restarts=8, seed=123)
+    a = pack(range(30), oracle, t=0.45, restarts=8, seed=123)
+    b = pack(range(30), oracle, t=0.45, restarts=8, seed=123)
     assert a == b
 
 
@@ -143,7 +159,7 @@ def test_greedy_pack_count_matches_oracle_variant():
     rng = np.random.default_rng(7)
     oracle = random_metric_oracle(rng, 25)
     d = oracle.submatrix(range(25))
-    assert greedy_pack_count(d, 0.4, restarts=8, seed=9) == circles_greedy(
+    assert pack_matrix(d, 0.4, restarts=8, seed=9) == pack(
         range(25), oracle, t=0.4, restarts=8, seed=9
     ).count
 
@@ -151,18 +167,18 @@ def test_greedy_pack_count_matches_oracle_variant():
 def test_auto_dispatch_modes():
     rng = np.random.default_rng(8)
     oracle_small = random_metric_oracle(rng, 10)
-    assert circles_auto(range(10), oracle_small, t=0.5).mode == "exact"
+    assert pack(range(10), oracle_small, t=0.5, mode="auto").mode == "exact"
     oracle_cap = random_metric_oracle(rng, 64)
-    assert circles_auto(range(64), oracle_cap, t=0.9).mode == "exact"
+    assert pack(range(64), oracle_cap, t=0.9, mode="auto").mode == "exact"
     oracle_big = random_metric_oracle(rng, 65)
-    assert circles_auto(range(65), oracle_big, t=0.5).mode == "greedy"
+    assert pack(range(65), oracle_big, t=0.5, mode="auto").mode == "greedy"
 
 
 def test_exact_cap_env_override(monkeypatch):
     rng = np.random.default_rng(9)
     oracle = random_metric_oracle(rng, 70)
     monkeypatch.setenv("CHEMSPACE_EXACT_CAP", "80")
-    assert circles_auto(range(70), oracle, t=0.5).mode == "exact"
+    assert pack(range(70), oracle, t=0.5, mode="auto").mode == "exact"
 
 
 def test_count_non_increasing_in_t():
@@ -195,7 +211,7 @@ def test_incremental_packing_matches_single_pass_greedy():
         curve = MEASURES["circles"].prefix(Selection(np.arange(n), lambda: d), spec)
         for i in range(n):
             count = curve[i]
-            expected = circles_greedy(range(i + 1), oracle, t, restarts=1).count
+            expected = pack(range(i + 1), oracle, t, restarts=1).count
             assert count == expected
 
 
@@ -203,7 +219,7 @@ def test_empty_set():
     rng = np.random.default_rng(12)
     oracle = random_metric_oracle(rng, 5)
     assert circles_exact([], oracle, t=0.5).count == 0
-    assert circles_greedy([], oracle, t=0.5).count == 0
+    assert pack([], oracle, t=0.5).count == 0
 
 
 def test_mis_small_graphs():
@@ -293,10 +309,10 @@ def test_bitmask_pass_matches_running_minimum(n, t, restarts, seed):
     oracle = MatrixOracle(big, validate=False)
     with pytest.MonkeyPatch.context() as mp:
         passes = recorded_passes(mp)
-        count = greedy_pack_count(d, t, restarts=restarts, seed=seed)
+        count = pack_matrix(d, t, restarts=restarts, seed=seed)
         matrix_passes = list(passes)
         passes.clear()
-        result = circles_greedy(subset, oracle, t, restarts=restarts, seed=seed)
+        result = pack(subset, oracle, t, restarts=restarts, seed=seed)
         oracle_passes = list(passes)
     # The oracle path runs every pass. The matrix path runs the same passes
     # up to the first that reaches the clique-cover bound, all of them while
@@ -316,7 +332,7 @@ def test_bitmask_pass_matches_running_minimum(n, t, restarts, seed):
     best = max((c for _, c in matrix_passes), key=len, default=[])
     assert best == max((c for _, c in oracle_passes), key=len, default=[])
     assert count == len(best)
-    assert result.centers == tuple(int(subset[p]) for p in best)
+    assert result.centers == tuple(best)
 
 
 def quarter_grid(rng, n, clusters):
@@ -348,9 +364,10 @@ def test_stopping_at_the_bound_keeps_the_best_of_k(n, clusters, t, restarts, see
     d = quarter_grid(np.random.default_rng(seed), n, clusters)
     adj = threshold_adjacency(d, t)
     bound = _clique_cover_bound((1 << n) - 1, adj)
-    stopped = _best_of_k(adj.__getitem__, n, restarts, seed, bound)
-    assert stopped == _best_of_k(adj.__getitem__, n, restarts, seed)
-    assert greedy_pack_count(d, t, restarts=restarts, seed=seed) == len(stopped) <= bound
+    stopped = _best_of_k(ConflictMasks.at_hand(adj), restarts, seed)
+    # Masks read one at a time are not all at hand: no bound, every pass.
+    assert stopped == _best_of_k(ConflictMasks(n, adj.__getitem__), restarts, seed)
+    assert pack_matrix(d, t, restarts=restarts, seed=seed) == len(stopped) <= bound
 
 
 @given(n=st.integers(1, 60), restarts=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
@@ -358,15 +375,18 @@ def test_stopping_at_the_bound_keeps_the_best_of_k(n, clusters, t, restarts, see
 def test_passes_stop_at_the_first_that_reaches_the_bound(n, restarts, seed):
     # Any number serves as the stopping bound here: the passes run up to the
     # first whose best count so far reaches it, and the best of those is kept.
+    import chemspace.circles as circles
+
     d = quarter_grid(np.random.default_rng(seed), n, clusters=0)
     adj = threshold_adjacency(d, 0.5)
     with pytest.MonkeyPatch.context() as mp:
         passes = recorded_passes(mp)
-        _best_of_k(adj.__getitem__, n, restarts, seed)
+        _best_of_k(ConflictMasks(n, adj.__getitem__), restarts, seed)
         every = [centers for _, centers in passes]
         for bound in range(max(map(len, every)) + 2):
             passes.clear()
-            got = _best_of_k(adj.__getitem__, n, restarts, seed, bound)
+            mp.setattr(circles, "_clique_cover_bound", lambda avail, masks, bound=bound: bound)
+            got = _best_of_k(ConflictMasks.at_hand(adj), restarts, seed)
             ran = [centers for _, centers in passes]
             reached = (i + 1 for i in range(restarts) if max(map(len, every[: i + 1])) >= bound)
             assert ran == every[: next(reached, restarts)]
@@ -376,7 +396,7 @@ def test_passes_stop_at_the_first_that_reaches_the_bound(n, restarts, seed):
 def test_clustered_matrix_packs_once(monkeypatch):
     d = quarter_grid(np.random.default_rng(5), 60, clusters=6)
     passes = recorded_passes(monkeypatch)
-    count = greedy_pack_count(d, 0.5, restarts=8, seed=3)
+    count = pack_matrix(d, 0.5, restarts=8, seed=3)
     assert len(passes) == 1
     assert count == _clique_cover_bound((1 << 60) - 1, threshold_adjacency(d, 0.5))
 
@@ -391,7 +411,7 @@ def test_unmet_bound_runs_every_pass(monkeypatch):
     adj = threshold_adjacency(d, 0.5)
     assert _clique_cover_bound((1 << 5) - 1, adj) == 3
     passes = recorded_passes(monkeypatch)
-    assert greedy_pack_count(d, 0.5, restarts=7, seed=1) == 2
+    assert pack_matrix(d, 0.5, restarts=7, seed=1) == 2
     assert len(passes) == 7
 
 
@@ -399,9 +419,9 @@ def test_every_pass_goes_through_the_module_function(monkeypatch):
     rng = np.random.default_rng(13)
     oracle = random_metric_oracle(rng, 30)
     passes = recorded_passes(monkeypatch)
-    greedy_pack_count(oracle.submatrix(range(30)), 0.4, restarts=5, seed=2)
+    pack_matrix(oracle.submatrix(range(30)), 0.4, restarts=5, seed=2)
     assert len(passes) == 5
-    circles_greedy(range(30), oracle, 0.4, restarts=3, seed=2)
+    pack(range(30), oracle, 0.4, restarts=3, seed=2)
     assert len(passes) == 8
     assert all(len(order) == 30 for order, _ in passes)
     assert passes[0][0] == list(range(30)) == passes[5][0]
@@ -442,17 +462,35 @@ def test_masked_mis_matches_brute_force_and_reindexed_graph(n):
             assert size == max_independent_set(induced_adjacency(adj, avail))[0]
 
 
+def test_packing_policy_kinds(monkeypatch):
+    monkeypatch.delenv("CHEMSPACE_EXACT_CAP", raising=False)
+    assert packing_policy("greedy", restarts=1, seed=5) == PackingPolicy("arrival", 1, 5)
+    assert not packing_policy("greedy", restarts=1).seeded and not EXACT.seeded
+    assert packing_policy("greedy", seed=3) == PackingPolicy("best_of_k", DEFAULT_RESTARTS, 3)
+    assert packing_policy("greedy").seeded
+    assert packing_policy("auto", size=64) == packing_policy("exact", size=64) == EXACT
+    assert packing_policy("auto", size=65).kind == "best_of_k"
+    with pytest.raises(MeasureSizeError, match="exact packing refused for n=65 > cap 64"):
+        packing_policy("exact", size=65)
+    with pytest.raises(MeasureParamError, match="circles seed must be a non-negative integer"):
+        packing_policy("exact", seed=-1, size=3)
+    with pytest.raises(ValueError, match="unknown packing policy kind"):
+        PackingPolicy("greedy")
+
+
 @pytest.mark.parametrize("restarts", [0, -3])
 def test_greedy_refuses_fewer_than_one_restart(restarts):
     d = np.array([[0.0, 0.9, 0.2], [0.9, 0.0, 0.8], [0.2, 0.8, 0.0]])
     message = f"circles restarts must be a positive integer, got {restarts}"
     with pytest.raises(MeasureParamError, match=message):
-        greedy_pack_count(d, 0.5, restarts=restarts)
+        pack_matrix(d, 0.5, restarts=restarts)
     with pytest.raises(MeasureParamError, match=message):
-        circles_greedy(range(3), MatrixOracle(d), 0.5, restarts=restarts)
+        pack(range(3), MatrixOracle(d), 0.5, restarts=restarts)
     # An empty set is no exception to the check.
     with pytest.raises(MeasureParamError, match=message):
-        greedy_pack_count(np.zeros((0, 0)), 0.5, restarts=restarts)
+        pack_matrix(np.zeros((0, 0)), 0.5, restarts=restarts)
     with pytest.raises(MeasureParamError, match=message):
-        circles_greedy([], MatrixOracle(d), 0.5, restarts=restarts)
-    assert greedy_pack_count(d, 0.5, restarts=1) == 2
+        pack([], MatrixOracle(d), 0.5, restarts=restarts)
+    with pytest.raises(MeasureParamError, match=message):
+        PackingPolicy("best_of_k", restarts)
+    assert pack_matrix(d, 0.5, restarts=1) == 2

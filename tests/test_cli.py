@@ -180,6 +180,22 @@ def test_circles_rows_same_alone_or_beside_diversity(data, request, tmp_path):
         assert len(alone) == 1 and alone == beside
 
 
+def test_compare_single_pass_is_one_value(greedy_tsv, tmp_path):
+    # One greedy pass runs in input order and reads no seed: one value, not
+    # stochastic. Best of 8 reads it, and repeats.
+    out = tmp_path / "c.json"
+    measures = "circles:t=0.5,mode=greedy,restarts=1,circles:t=0.5,mode=greedy"
+    assert run_cli(["compare", "--in", greedy_tsv, "--measures", measures, "--repeats", "3",
+                    "--out", out]) == 0
+    one_pass, best_of_k = read_json(out)["results"]
+    assert one_pass["stochastic"] is False and len(one_pass["values"]) == 1
+    assert one_pass["rel_dev_pct"] == 0.0
+    assert best_of_k["stochastic"] is True and len(best_of_k["values"]) == 3
+    assert run_cli(["measure", "--in", greedy_tsv, "--measures", "circles:t=0.5,mode=greedy,restarts=1",
+                    "--seed", "9", "--out", out]) == 0
+    assert read_json(out)["results"][0]["value"] == one_pass["values"][0]
+
+
 def test_axiom_check_json_and_exit_code(tmp_path):
     out = tmp_path / "ax.json"
     code = run_cli(["axiom-check", "--trials", "150", "--seed", "7", "--out", out])
@@ -349,6 +365,16 @@ ONE_LINE_ERRORS = {
     ),
     "measure-unknown-param": ("measure --in {data} --measures diversity:foo=2", "diversity has no parameter 'foo'"),
     "compare-unknown-param": ("compare --in {data} --measures richness:t=0.5", "richness has no parameter 't'"),
+    # A best-of-k packing's repeats read seeds from --seed on.
+    "compare-negative-seed": (
+        "compare --in {data} --measures circles:t=0.5,mode=greedy --repeats 2 --seed -1",
+        "circles seed must be a non-negative integer, got -1",
+    ),
+    # Each repeat packs from --seed plus its number; a spec seed was ignored.
+    "compare-circles-seed": (
+        "compare --in {tmp}/missing.tsv --measures circles:t=0.5,seed=5 --repeats 3",
+        "circles:seed=5,t=0.5: compare takes only circles t, mode, restarts; drop seed",
+    ),
     "corr-fixed-unknown-param": (
         "corr-fixed --in {data} --n 10 --runs 1 --measures dpp:restarts=2",
         "dpp has no parameter 'restarts'",

@@ -1,11 +1,21 @@
 """Every entry point reaches a measure through the one table in ``measures``."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemspace.axioms import World, random_world, world_measure
+from chemspace.axioms import World, check_subadditivity, random_world, world_measure
+from chemspace.circles import (
+    ARRIVAL,
+    EXACT,
+    ConflictMasks,
+    _clique_cover_bound,
+    packing_policy,
+    threshold_adjacency,
+)
 from chemspace.cli import main
 from chemspace.distances import TanimotoOracle, gather_submatrix
 from chemspace.errors import MeasureParamError, MissingFragmentsError
@@ -22,6 +32,7 @@ from chemspace.measures import (
 )
 from chemspace.protocols import (
     DEFAULT_PROTOCOL_MEASURES,
+    FIXED_READER,
     _fixed_selection,
     protocol_fixed,
     protocol_growing,
@@ -71,8 +82,8 @@ def test_every_kind_agrees_across_entry_points(annotated):
             return evaluate_measure(spec, subset, dataset=ds, oracle=oracle).value
 
         def fixed(spec, seed=0):
-            sel = _fixed_selection(full, np.asarray(subset), readers, np.random.default_rng(seed))
-            return evaluate_selection(spec, sel).value
+            policy = lambda s: replace(FIXED_READER.policy(s), seed=seed)
+            return evaluate_selection(spec, _fixed_selection(full, np.asarray(subset), readers, policy)).value
 
         # The growth curves' last points: the growing-size protocol's path.
         order = np.asarray(subset)
@@ -95,7 +106,7 @@ def test_every_kind_agrees_across_entry_points(annotated):
         assert world_measure(MeasureSpec("circles", {"t": 0.6}), subset, world) == exact
         drawn = int(np.random.default_rng(5).integers(0, 2**31))
         best_of_k = library(MeasureSpec("circles", {"t": 0.6, "mode": "greedy", "seed": drawn}))
-        assert fixed(MeasureSpec("circles", {"t": 0.6}), seed=5) == best_of_k
+        assert fixed(MeasureSpec("circles", {"t": 0.6}), seed=drawn) == best_of_k
         one_pass = library(MeasureSpec("circles", {"t": 0.6, "mode": "greedy", "restarts": 1}))
         assert grown["circles:t=0.6"] == one_pass
 
@@ -151,6 +162,53 @@ def test_prefix_equals_batch_on_every_prefix(case):
             if spec.kind in REORDERED_KINDS:
                 value = pytest.approx(value, abs=1e-9)
             assert curve[k - 1] == value, (spec.key(), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(growth_orders(), st.data())
+def test_packing_policies_are_ordered_and_agree_across_entry_points(case, data):
+    # One set of n <= 12 records (widths 1-70, duplicates allowed) and a
+    # subset of it: arrival <= best-of-k <= exact <= the clique-cover bound,
+    # and each entry point's count is the policy's count on the same masks.
+    ds, order = case
+    t = data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.6, 0.75, 0.9]), label="t")
+    restarts = data.draw(st.integers(1, 8), label="restarts")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    subset = np.sort(order[: data.draw(st.integers(1, len(ds)), label="size")])
+    full = TanimotoOracle(ds).full_matrix()
+    masks = ConflictMasks.at_hand(threshold_adjacency(gather_submatrix(full, subset), t))
+    arrival = ARRIVAL.pack(masks).count
+    best_of_k = packing_policy("greedy", restarts, seed).pack(masks).count
+    exact = EXACT.pack(masks).count
+    assert arrival <= best_of_k <= exact <= _clique_cover_bound((1 << subset.size) - 1, masks.masks)
+
+    def library(**params):
+        spec = MeasureSpec("circles", {"t": t, **params})
+        return evaluate_measure(spec, subset, oracle=TanimotoOracle(ds)).value
+
+    world = World(full, keys=[str(i) for i in range(len(ds))], fragments=[frozenset()] * len(ds))
+    assert library(mode="exact") == world_measure(MeasureSpec("circles", {"t": t}), subset, world) == exact
+    policy = lambda spec: replace(FIXED_READER.policy(spec), seed=seed)
+    sel = _fixed_selection(full, subset, dataset_readers(ds), policy)
+    fixed = evaluate_selection(MeasureSpec("circles", {"t": t, "restarts": restarts}), sel).value
+    assert library(mode="greedy", seed=seed, restarts=restarts) == fixed == best_of_k
+
+
+@pytest.mark.parametrize(
+    "spec, names",
+    [
+        ("circles:t=0.5,mode=greedy", "the axiom harness takes only circles t, mode=exact; drop mode"),
+        ("circles:t=0.5,restarts=8", "drop restarts"),
+        ("circles:t=0.5,seed=2", "drop seed"),
+    ],
+)
+def test_axiom_harness_refuses_circles_params_exact_packing_does_not_read(spec, names):
+    # Every world is packed exactly; restarts, seed and another mode were ignored.
+    world = random_world(np.random.default_rng(0), 5)
+    for check in (lambda s: world_measure(s, [0, 1, 2], world), lambda s: check_subadditivity(s, trials=5)):
+        with pytest.raises(MeasureParamError, match=names):
+            check(parse_measure_spec(spec))
+        check(parse_measure_spec("circles:t=0.5,mode=exact"))
 
 
 def test_evaluate_measure_honours_exact_cap_env(monkeypatch):
@@ -359,7 +417,7 @@ def test_one_upper_triangle_per_selection(annotated, monkeypatch):
     monkeypatch.setattr(chemspace.protocols, "gather_upper", counted_gather)
     full = TanimotoOracle(annotated).full_matrix()
     subset = np.arange(0, len(annotated), 2)
-    sel = _fixed_selection(full, subset, dataset_readers(annotated), 0)
+    sel = _fixed_selection(full, subset, dataset_readers(annotated), FIXED_READER.policy)
     for spec in [*DEFAULT_PROTOCOL_MEASURES, "gold_standard"]:
         evaluate_selection(parse_measure_spec(spec), sel)
     assert gathered == [subset.size] and sliced == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chemspace.circles import circles_greedy
+from chemspace.circles import oracle_conflicts, packing_policy
 from chemspace.distances import TanimotoOracle
 from chemspace.errors import DimensionMismatchError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, tanimoto_distance
@@ -83,7 +83,7 @@ def test_admitted_candidate_preserves_packing_invariant():
     ds = random_dataset(rng, 30)
     oracle = TanimotoOracle(ds)
     t = 0.45
-    packing = circles_greedy(range(30), oracle, t=t, restarts=4, seed=0)
+    packing = packing_policy("greedy", restarts=4, seed=0).pack(oracle_conflicts(oracle, range(30), t))
     ctx = NoveltyContext(members=np.asarray(packing.centers), dataset=ds, oracle=oracle, t=t)
     admitted = 0
     for _ in range(50):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from chemspace.circles import circles_greedy
+from chemspace.circles import ARRIVAL, oracle_conflicts
 from chemspace.distances import TanimotoOracle, gather_submatrix
 from chemspace.errors import ProtocolError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
@@ -142,7 +142,7 @@ def test_growth_trackers_match_direct_measures(small_dataset):
         assert values["richness"] == richness(prefix, ds)
         assert values["gold_standard"] == len({ds.labels[i] for i in prefix})
         # The packing curve equals a single greedy pass in arrival order.
-        assert values["circles:t=0.7"] == circles_greedy(prefix, oracle, t=0.7, restarts=1).count
+        assert values["circles:t=0.7"] == ARRIVAL.pack(oracle_conflicts(oracle, prefix, 0.7)).count
         if step < 12:
             assert values["dpp"] == pytest.approx(dpp(prefix, oracle), abs=1e-9)
 
