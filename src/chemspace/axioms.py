@@ -14,25 +14,37 @@ every subset the search packs on that world. A random world of n points is
 read from one draw of 14·n uniforms, and its split from one draw of n.
 
 A table runs one subadditivity search for all its measures: each random world
-is drawn once and tested against every measure still open. The search builds
-one selection for each of S1, S2 and S1 | S2 and reads every open measure
-from those three; ``world_measure`` builds the same selection for one subset.
-Each measure still sees ``trials`` candidates, its own constructions first,
-exactly as a search of its own would.
+is drawn once and tested against every measure still open. Worlds are drawn
+in blocks: the stream is read world by world, as one world at a time would
+read it, and ``_build_worlds`` then builds the block's matrices, fragment
+sets and key codes in one numpy pass per world size (``random_world`` is its
+one-world case). The search builds one selection for each of S1, S2 and
+S1 | S2 and reads every open measure from those three; ``world_measure``
+builds the same selection for one subset. Each measure still sees ``trials``
+candidates, its own constructions first, exactly as a search of its own
+would. The dissimilarity checks of a table likewise build each geodesic
+world, and the selection of its three points, once, and read every measure
+there, circles at every threshold of the grid.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from .circles import EXACT, ConflictMasks, threshold_adjacency
 from .distances import gather_submatrix
 from .errors import AxiomCheckError
-from .measures import MEASURES, MeasureSpec, PolicyReader, Selection, parse_measure_spec
+from .measures import (
+    MEASURES,
+    MeasureSpec,
+    PolicyReader,
+    Selection,
+    parse_measure_spec,
+    validate_spec,
+)
 
 TOLERANCE = 1e-9
 
@@ -69,26 +81,28 @@ class World:
     """A small explicit-metric universe the checks evaluate measures on.
 
     ``matrix`` is kept as a float64 copy with its diagonal zeroed.
+    ``key_codes`` holds per point a code that points share exactly when their
+    keys are equal; it is numbered from ``keys`` when not given.
     """
 
     matrix: np.ndarray
     keys: list[str]
     fragments: list[frozenset[str]]
+    key_codes: np.ndarray | None = field(default=None, repr=False, compare=False)
     _conflicts: dict[float, list[int]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.matrix = np.array(self.matrix, dtype=np.float64)
-        np.fill_diagonal(self.matrix, 0.0)
+        self.matrix.flat[:: self.n + 1] = 0.0
+        if self.key_codes is None:
+            codes: dict[str, int] = {}
+            self.key_codes = np.array(
+                [codes.setdefault(k, len(codes)) for k in self.keys], dtype=np.int64
+            )
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @functools.cached_property
-    def key_codes(self) -> np.ndarray:
-        """Per point, a code that points share exactly when their keys are equal."""
-        codes: dict[str, int] = {}
-        return np.array([codes.setdefault(k, len(codes)) for k in self.keys], dtype=np.int64)
 
     def conflicts(self, t: float) -> list[int]:
         """The conflict bitmasks of all points at threshold t, built on first use."""
@@ -115,6 +129,13 @@ class World:
 WORLD_READER = PolicyReader("the axiom harness", (), "exact")
 
 
+def _check_spec(spec: MeasureSpec) -> None:
+    """Refuse a spec the measure table refuses, or a circles parameter that
+    exact packing would not read."""
+    validate_spec(spec)
+    WORLD_READER.check(spec)
+
+
 def world_selection(world: World, idx: list[int]) -> Selection:
     """The selection of a world's points ``idx`` (sorted, without repeats).
 
@@ -131,18 +152,52 @@ def world_selection(world: World, idx: list[int]) -> Selection:
 def world_measure(spec: MeasureSpec, subset, world: World) -> float:
     """Evaluate one measure on a subset of a world's points, taken sorted and
     without repeats; 0.0 on the empty subset."""
-    WORLD_READER.check(spec)
+    _check_spec(spec)
     idx = sorted(int(i) for i in set(subset))
     return MEASURES[spec.kind].batch(world_selection(world, idx), spec)[0] if idx else 0.0
 
 
 _FRAGMENT_POOL = 8
-_FRAGMENT_BITS = tuple(1 << k for k in range(_FRAGMENT_POOL))
 # Every fragment set a random world can hold, indexed by its bitmask over f0..f7.
 _FRAGMENT_SETS = tuple(
     frozenset(f"f{k}" for k in range(_FRAGMENT_POOL) if mask >> k & 1)
     for mask in range(1 << _FRAGMENT_POOL)
 )
+
+
+def _build_worlds(draws: list[tuple[int, np.ndarray]], dup_prob: float = 0.15) -> Iterator[World]:
+    """The world of each ``(size, uniforms)`` draw, read as ``random_world``
+    reads its one draw of ``14 * size`` uniforms, in draw order. The draws of
+    each size are read in one numpy pass, all before the first world is
+    made; each world is then made when the iterator reaches it."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for size, draw in draws:
+        by_size.setdefault(size, []).append(draw)
+    built = {}
+    for size, group in by_size.items():
+        u = np.array(group).reshape(len(group), 14 * size)
+        rows = np.arange(len(group))[:, None]
+        # A copy points at a uniformly chosen earlier point (point 0 can only
+        # point at itself); following the pointers to a fresh point gives its root.
+        point = np.arange(size)
+        sources = (u[:, size : 2 * size] * point).astype(np.int64)
+        root = np.where(u[:, :size] < dup_prob, sources, point)
+        while (root[rows, root] != root).any():
+            root = root[rows, root]
+        pts = u[:, 2 * size : 5 * size].reshape(len(group), size, 3)[rows, root]
+        diff = pts[:, :, None, :] - pts[:, None, :, :]
+        matrices = np.sqrt((diff**2).sum(axis=3)) / np.sqrt(3.0)
+        # The first k entries of a uniform random permutation are a uniform
+        # k-subset, drawn without replacement; k is 1 + floor(3u).
+        order = np.argsort(u[:, 6 * size :].reshape(len(group), size, _FRAGMENT_POOL), axis=2)
+        taken = np.arange(_FRAGMENT_POOL) <= (3 * u[:, 5 * size : 6 * size, None]).astype(np.int64)
+        masks = np.where(taken, np.left_shift(1, order), 0).sum(axis=2)[rows, root]
+        built[size] = iter(zip(matrices, root, root.tolist(), masks.tolist()))
+    for size, _ in draws:
+        matrix, codes, roots, masks = next(built[size])
+        yield World(
+            matrix, [f"p{r}" for r in roots], list(map(_FRAGMENT_SETS.__getitem__, masks)), codes
+        )
 
 
 def random_world(rng: np.random.Generator, size: int, dup_prob: float = 0.15) -> World:
@@ -156,29 +211,9 @@ def random_world(rng: np.random.Generator, size: int, dup_prob: float = 0.15) ->
     uniformly from f0..f7. The whole world is read from one draw of
     ``14 * size`` uniforms: per point a duplicate flag, a source, three
     coordinates, a fragment count and eight keys that order the fragments.
+    Its key codes are the roots. It is the one-world case of ``_build_worlds``.
     """
-    u = rng.random(14 * size)
-    flags, sources = u[:size].tolist(), u[size : 2 * size].tolist()
-    # Point 0 is fresh whatever its flag.
-    root = list(range(size))
-    for i in range(1, size):
-        if flags[i] < dup_prob:
-            root[i] = root[int(sources[i] * i)]
-    pts = u[2 * size : 5 * size].reshape(size, 3)[root]
-    # The first k entries of a uniform random permutation are a uniform
-    # k-subset, drawn without replacement; k is 1 + floor(3u).
-    order = np.argsort(u[6 * size :].reshape(size, _FRAGMENT_POOL), axis=1).tolist()
-    masks = [
-        sum(map(_FRAGMENT_BITS.__getitem__, row[: int(3 * x) + 1]))
-        for row, x in zip(order, u[5 * size : 6 * size].tolist())
-    ]
-    diff = pts[:, None, :] - pts[None, :, :]
-    matrix = np.sqrt((diff**2).sum(axis=2)) / np.sqrt(3.0)
-    return World(
-        matrix=matrix,
-        keys=[f"p{r}" for r in root],
-        fragments=[_FRAGMENT_SETS[masks[r]] for r in root],
-    )
+    return next(_build_worlds([(size, rng.random(14 * size))], dup_prob))
 
 
 @dataclass
@@ -269,7 +304,8 @@ def _dissimilarity_violation(
     """A "midpoint" hit with the two values when the off-center candidate
     scores above the midpoint; None if not. Packing counts and richness are
     integers and compare exactly; the other kinds allow tol. It takes values,
-    not worlds, so the grid evaluates a midpoint once for all its candidates."""
+    not worlds, so each world of the grid is evaluated once for all the pairs
+    that read it."""
     exact = spec.kind in ("circles", "richness")
     if v_mid < v_alt if exact else v_mid < v_alt - tol:
         return "midpoint", {"mu_midpoint": v_mid, "mu_candidate": v_alt}
@@ -326,14 +362,45 @@ def _seed_worlds(kind: str) -> list[tuple[str, World, list[int], list[int]]]:
     return [seeds[kind]] if kind in seeds else []
 
 
-def _random_split(rng: np.random.Generator) -> tuple[World, list[int], list[int]]:
-    """A random world of 2 to 12 points and two random, possibly overlapping sets."""
-    world = random_world(rng, size=int(rng.integers(2, 13)))
+# Worlds drawn and built at once. Larger blocks save little more time per
+# world and hold more of the stream in memory at once.
+_BLOCK = 64
+
+_Split = tuple[World, list[int], list[int]]
+
+
+def _random_splits(rng: np.random.Generator, count: int) -> Iterator[_Split]:
+    """``count`` random worlds of 2 to 12 points, each with two random,
+    possibly overlapping sets.
+
+    The stream is read at the call, per world as one at a time would read it:
+    a size, the world's ``14 * size`` uniforms, then ``size`` more for the
+    roles. The worlds are built by ``_build_worlds``, and the roles of all of
+    them are read in one pass.
+    """
+    draws, roles = [], []
+    for _ in range(count):
+        size = int(rng.integers(2, 13))
+        draws.append((size, rng.random(14 * size)))
+        roles.append(rng.random(size))
     # Role bit 0 puts a point in S1 and bit 1 in S2: neither, S1, S2 or both.
-    roles = (4 * rng.random(world.n)).astype(np.int64).tolist()
-    s1 = [i for i, role in enumerate(roles) if role & 1]
-    s2 = [i for i, role in enumerate(roles) if role & 2]
-    return world, s1, s2
+    codes = (4 * np.concatenate(roles)).astype(np.int64).tolist()
+    return _splits(_build_worlds(draws), codes)
+
+
+def _splits(worlds: Iterator[World], codes: list[int]) -> Iterator[_Split]:
+    """Each world with S1 and S2 read from its points' run of role ``codes``."""
+    start = 0
+    for world in worlds:
+        roles = list(enumerate(codes[start : start + world.n]))
+        start += world.n
+        yield world, [i for i, role in roles if role & 1], [i for i, role in roles if role & 2]
+
+
+def _random_split(rng: np.random.Generator) -> _Split:
+    """A random world of 2 to 12 points and two random, possibly overlapping
+    sets: the one-world case of ``_random_splits``."""
+    return next(_random_splits(rng, 1))
 
 
 def _pair_selections(world: World, s1: list[int], s2: list[int]) -> list[Selection | None]:
@@ -359,13 +426,14 @@ def _search_subadditivity(
     j is then drawn once from the seeded stream and tested against every spec
     still open, as that spec's trial k + j; a spec closes at its first hit or
     once it has seen ``trials`` candidates (all its constructions, at least).
-    Only the current random world is kept, with one selection per side of its
-    split that every open spec reads.
+    Worlds are drawn in blocks of up to ``_BLOCK``, never more than the open
+    specs still need; each is tested with one selection per side of its split
+    that every open spec reads.
     """
     if trials < 1:
         raise AxiomCheckError(f"trials must be at least 1, got {trials}")
     for spec in specs:
-        WORLD_READER.check(spec)
+        _check_spec(spec)
     seeded = [_seed_worlds(spec.kind) for spec in specs]
     budget = [max(trials, len(constructions)) for constructions in seeded]
     found: list[CheckResult | None] = [None] * len(specs)
@@ -380,20 +448,24 @@ def _search_subadditivity(
             if hit is not None:
                 found[pos] = refuted(pos, trial_no, hit, description, world, s1, s2)
                 break
-    open_ = [pos for pos, n in enumerate(budget) if found[pos] is None and len(seeded[pos]) < n]
+    # The random worlds each spec may still see once its constructions are tried.
+    left = [n - len(constructions) for n, constructions in zip(budget, seeded)]
+    open_ = [pos for pos, n in enumerate(left) if found[pos] is None and n > 0]
     rng = np.random.default_rng(seed)
     drawn = 0
     while open_:
-        drawn += 1
-        world, s1, s2 = _random_split(rng)
-        sides = _pair_selections(world, s1, s2)
-        for pos in open_:
-            hit = _subadditivity_side(*_pair_values(specs[pos], sides), tol)
-            if hit is not None:
-                found[pos] = refuted(
-                    pos, len(seeded[pos]) + drawn, hit, "random world search", world, s1, s2
-                )
-        open_ = [p for p in open_ if found[p] is None and len(seeded[p]) + drawn < budget[p]]
+        for world, s1, s2 in _random_splits(rng, min(_BLOCK, max(left[p] for p in open_) - drawn)):
+            drawn += 1
+            sides = _pair_selections(world, s1, s2)
+            for pos in open_:
+                hit = _subadditivity_side(*_pair_values(specs[pos], sides), tol)
+                if hit is not None:
+                    found[pos] = refuted(
+                        pos, len(seeded[pos]) + drawn, hit, "random world search", world, s1, s2
+                    )
+            open_ = [p for p in open_ if found[p] is None and drawn < left[p]]
+            if not open_:
+                break
     note = "no counterexample in {} trials"
     return [
         CheckResult(spec.key(), "subadditivity", True, n, seed, note=note.format(n))
@@ -477,36 +549,114 @@ _COVERAGE_DESCRIPTION = (
     "distances; midpoint carries a repeated fragment while the off-center "
     "candidate carries a new one"
 )
+_GEODESIC_DESCRIPTION = "off-center geodesic candidate beats the midpoint"
 _COVERAGE_MID_FRAGMENTS = [frozenset({"f1"}), frozenset({"f2"}), frozenset({"f1"})]
 _COVERAGE_ALT_FRAGMENTS = [frozenset({"f1"}), frozenset({"f2"}), frozenset({"f3"})]
 
 
-def _geodesic_candidates(spec: MeasureSpec, a_values, fracs, thresholds):
-    """Midpoint/candidate pairs in search order, each as (description, spec at
-    the grid threshold, midpoint world, its value, candidate world, grid point);
-    each midpoint is evaluated once for all its candidates, and each distinct
-    (a, delta) world is built once for every threshold. Coverage does not
-    read distances, so its one construction is the only pair."""
-    if spec.kind == "coverage":
-        mid = GeodesicConfig(1.0, 0.5).world(fragments=_COVERAGE_MID_FRAGMENTS)
-        alt = GeodesicConfig(1.0, 0.25).world(fragments=_COVERAGE_ALT_FRAGMENTS)
-        v_mid = world_measure(spec, _TRIPLE, mid)
-        yield _COVERAGE_DESCRIPTION, spec, mid, v_mid, alt, {"a": 1.0, "delta": 0.25}
-        return
-    geodesic = functools.cache(lambda a, delta: GeodesicConfig(a, delta).world())
-    for t in thresholds:
-        at_t = spec if t is None else MeasureSpec("circles", {"t": float(t)})
-        grid_t = {} if t is None else {"t": float(t)}
-        for a in map(float, a_values):
-            mid = geodesic(a, a / 2)
-            v_mid = world_measure(at_t, _TRIPLE, mid)
-            for frac in fracs:
-                delta = a * float(frac)
-                if 0 < delta < a:
-                    yield (
-                        "off-center geodesic candidate beats the midpoint", at_t, mid, v_mid,
-                        geodesic(a, delta), {"a": a, "delta": delta, **grid_t},
-                    )
+def _grid_specs(spec: MeasureSpec, t_values) -> list[tuple[MeasureSpec, dict[str, float]]]:
+    """Circles at each threshold of the grid, with the grid point's t, or any
+    other spec alone, with no t; each spec checked."""
+    _check_spec(spec)
+    if spec.kind != "circles":
+        return [(spec, {})]
+    at_t = [(MeasureSpec("circles", {"t": float(t)}), {"t": float(t)}) for t in t_values]
+    for grid_spec, _ in at_t:
+        _check_spec(grid_spec)
+    return at_t
+
+
+def _geodesic_values(columns: list[MeasureSpec], points: list[tuple[float, float]]) -> np.ndarray:
+    """``values[i, j]``: spec ``columns[j]`` on the three points of geodesic
+    world ``points[i]`` = (a, delta). Each world and its selection are built
+    once and read by every column, then dropped."""
+    values = np.empty((len(points), len(columns)))
+    for row, (a, delta) in enumerate(points):
+        sel = world_selection(GeodesicConfig(a, delta).world(), list(_TRIPLE))
+        values[row] = [MEASURES[spec.kind].batch(sel, spec)[0] for spec in columns]
+    return values
+
+
+def _coverage_dissimilarity(spec: MeasureSpec, tol: float) -> CheckResult:
+    """Coverage's one midpoint/candidate pair: its construction."""
+    mid = GeodesicConfig(1.0, 0.5).world(fragments=_COVERAGE_MID_FRAGMENTS)
+    alt = GeodesicConfig(1.0, 0.25).world(fragments=_COVERAGE_ALT_FRAGMENTS)
+    v_mid, v_alt = world_measure(spec, _TRIPLE, mid), world_measure(spec, _TRIPLE, alt)
+    hit = _dissimilarity_violation(spec, v_mid, v_alt, tol)
+    if hit is None:
+        return CheckResult(spec.key(), "dissimilarity", True, 1, note=_COVERAGE_NOTE)
+    side, values = hit
+    world = {"midpoint": mid.to_payload(), "candidate": alt.to_payload()}
+    return _refuted(
+        spec, "dissimilarity", 1, (side, values | {"a": 1.0, "delta": 0.25}),
+        _COVERAGE_DESCRIPTION, world, _TRIPLE, _TRIPLE, tol, note=_COVERAGE_NOTE,
+    )
+
+
+def _search_dissimilarity(
+    specs: tuple[MeasureSpec, ...], a_grid, delta_fracs, t_grid, tol: float
+) -> list[CheckResult]:
+    """Every spec's dissimilarity check, in spec order, from one pass over the
+    geodesic worlds.
+
+    Each distinct (a, delta) world of the grid is built once, and every spec
+    (circles at every grid threshold) reads its value there
+    (``_geodesic_values``). Each spec then scans its midpoint/candidate pairs
+    in search order, threshold by threshold, and stops at its first hit,
+    whose two worlds are built again for the payload. Coverage does not read
+    distances, so its one construction is its only pair.
+    """
+    a_values = np.linspace(0.1, 1.0, 10) if a_grid is None else np.asarray(a_grid, dtype=float)
+    fracs = np.arange(1, 20) / 20.0 if delta_fracs is None else np.asarray(delta_fracs, dtype=float)
+    t_values = np.linspace(0.0, 0.9, 10) if t_grid is None else np.asarray(t_grid, dtype=float)
+    grids = [_grid_specs(spec, t_values) for spec in specs]
+    pairs = [
+        (a, delta)
+        for a in map(float, a_values)
+        for delta in (a * float(frac) for frac in fracs)
+        if 0 < delta < a
+    ]
+    # Every a has its midpoint world, so an a outside (0, 1] is refused even
+    # when no fraction gives it a candidate.
+    points = list(dict.fromkeys([(a, a / 2) for a in map(float, a_values)] + pairs))
+    row = {point: i for i, point in enumerate(points)}
+    geodesic = [grid for spec, grid in zip(specs, grids) if spec.kind != "coverage"]
+    columns = [at_t for grid in geodesic for at_t, _ in grid]
+    values = _geodesic_values(columns, points)
+    # Per pair (row) and column: the midpoint's value and the candidate's.
+    mids, alts = values[[row[a, a / 2] for a, _ in pairs]], values[[row[pair] for pair in pairs]]
+    results, start = [], 0
+    for spec, grid in zip(specs, grids):
+        if spec.kind == "coverage":
+            results.append(_coverage_dissimilarity(spec, tol))
+            continue
+        cols = slice(start, start + len(grid))
+        results.append(_scan_geodesic(spec, grid, pairs, mids[:, cols], alts[:, cols], tol))
+        start += len(grid)
+    return results
+
+
+def _scan_geodesic(
+    spec: MeasureSpec, grid, pairs, mids: np.ndarray, alts: np.ndarray, tol: float
+) -> CheckResult:
+    """One spec's scan in search order: for each point of its ``grid`` (a
+    column of ``mids`` and ``alts``), every (a, delta) of ``pairs`` (a row)."""
+    trial_no = 0
+    for col, (at_t, grid_t) in enumerate(grid):
+        for (a, delta), v_mid, v_alt in zip(pairs, mids[:, col].tolist(), alts[:, col].tolist()):
+            trial_no += 1
+            hit = _dissimilarity_violation(at_t, v_mid, v_alt, tol)
+            if hit is not None:
+                side, found = hit
+                world = {
+                    "midpoint": GeodesicConfig(a, a / 2).world().to_payload(),
+                    "candidate": GeodesicConfig(a, delta).world().to_payload(),
+                }
+                values = found | {"a": a, "delta": delta, **grid_t}
+                return _refuted(spec, "dissimilarity", trial_no, (side, values),
+                                _GEODESIC_DESCRIPTION, world, _TRIPLE, _TRIPLE, tol)
+    note = f"midpoint optimal across {trial_no} grid configurations"
+    return CheckResult(spec.key(), "dissimilarity", True, trial_no, note=note)
 
 
 def check_dissimilarity(
@@ -521,28 +671,10 @@ def check_dissimilarity(
     For every (a, delta) on the grid the midpoint configuration must score at
     least as high as the off-center one (ties allowed). Packing counts are
     compared as integers; for the packing measure the scan also sweeps the
-    threshold grid.
+    threshold grid. Each distinct (a, delta) world is built once per call,
+    whatever the number of thresholds.
     """
-    a_values = np.linspace(0.1, 1.0, 10) if a_grid is None else np.asarray(a_grid, dtype=float)
-    fracs = np.arange(1, 20) / 20.0 if delta_fracs is None else np.asarray(delta_fracs, dtype=float)
-    thresholds = [None]
-    if spec.kind == "circles":
-        t_values = np.linspace(0.0, 0.9, 10) if t_grid is None else np.asarray(t_grid, dtype=float)
-        thresholds = list(t_values)
-    note = _COVERAGE_NOTE if spec.kind == "coverage" else ""
-    candidates = _geodesic_candidates(spec, a_values, fracs, thresholds)
-    trial_no = 0
-    for trial_no, (description, at_t, mid, v_mid, alt, grid) in enumerate(candidates, 1):
-        hit = _dissimilarity_violation(at_t, v_mid, world_measure(at_t, _TRIPLE, alt), tol)
-        if hit is not None:
-            side, values = hit
-            world = {"midpoint": mid.to_payload(), "candidate": alt.to_payload()}
-            return _refuted(
-                spec, "dissimilarity", trial_no, (side, values | grid), description, world,
-                _TRIPLE, _TRIPLE, tol, note=note,
-            )
-    note = note or f"midpoint optimal across {trial_no} grid configurations"
-    return CheckResult(spec.key(), "dissimilarity", True, trial_no, note=note)
+    return _search_dissimilarity((spec,), a_grid, delta_fracs, t_grid, tol)[0]
 
 
 @dataclass
@@ -574,15 +706,17 @@ def quadrant_table(
     trials: int = 1000, seed: int = 0, specs: tuple[MeasureSpec, ...] = DEFAULT_TABLE_SPECS
 ) -> dict[str, Any]:
     """Run both axiom checks for every measure and compare the resulting
-    classification against the expected one."""
+    classification against the expected one. One subadditivity search and
+    one pass over the geodesic worlds serve every spec."""
     rows = []
     matches = True
     subadditive = _search_subadditivity(specs, trials, seed, TOLERANCE)
-    for spec, sub in zip(specs, subadditive):
+    dissimilar = _search_dissimilarity(specs, None, None, None, TOLERANCE)
+    for spec, sub, dis in zip(specs, subadditive, dissimilar):
         report = AxiomReport(
             measure=spec.key(),
             subadditive=sub,
-            dissimilar=check_dissimilarity(spec),
+            dissimilar=dis,
             trials=trials,
             seed=seed,
         )

@@ -8,7 +8,10 @@ bound, or best-of-k greedy sphere exclusion, each pass OR-ing the masks of
 its centers into one covered mask, or one greedy pass in arrival order.
 Where all the masks are at hand (the fixed-size protocol's packer), the
 greedy clique cover of the conflict graph bounds every packing from above,
-and best-of-k stops at the first pass that reaches that bound.
+and best-of-k stops at the first pass that reaches that bound. The exact
+solver starts from the same two: one greedy pass in index order is returned
+as it stands when it reaches the bound, and is otherwise the incumbent that
+branch and bound has to beat.
 """
 
 from __future__ import annotations
@@ -78,12 +81,35 @@ def max_independent_set(adj: list[int], avail: int | None = None) -> tuple[int, 
 
     ``avail`` is the bitmask of the vertices to solve on, all of them when
     None: the result is the maximum independent set of the subgraph they
-    induce, so one graph serves every subset of its points. Branch and bound:
-    branch on the max-degree vertex, prune with the greedy clique-cover bound.
-    Returns (size, chosen-vertices bitmask), the mask a subset of ``avail``.
+    induce, so one graph serves every subset of its points. One
+    sphere-exclusion pass over ``avail`` in index order comes first; when it
+    reaches the greedy clique-cover bound of ``avail`` it is optimal and is
+    returned as it stands. Otherwise it is the incumbent of a branch and
+    bound (Tomita & Kameda, J. Global Optim. 37, 2007). Returns (size,
+    chosen-vertices bitmask), the mask a subset of ``avail``.
     """
-    best_size = 0
-    best_mask = 0
+    if avail is None:
+        avail = (1 << len(adj)) - 1
+    # ``greedy_pack_positions`` over avail in index order, stepping from one
+    # center to the next uncovered point instead of testing every point.
+    size = chosen = 0
+    rest = avail
+    while rest:
+        bit = rest & -rest
+        chosen |= bit
+        size += 1
+        rest &= ~(adj[bit.bit_length() - 1] | bit)
+    if size < _clique_cover_bound(avail, adj):
+        return _branch_and_bound(adj, avail, size, chosen)
+    return size, chosen
+
+
+def _branch_and_bound(
+    adj: list[int], avail: int, best_size: int, best_mask: int
+) -> tuple[int, int]:
+    """The maximum independent set within ``avail``, or the incumbent
+    (``best_size``, ``best_mask``) when no larger set exists. Branches on the
+    max-degree vertex and prunes with the greedy clique-cover bound."""
 
     def expand(avail: int, count: int, chosen: int) -> None:
         nonlocal best_size, best_mask
@@ -118,7 +144,7 @@ def max_independent_set(adj: list[int], avail: int | None = None) -> tuple[int, 
             avail &= ~bit
             # Loop continues as the exclude branch.
 
-    expand((1 << len(adj)) - 1 if avail is None else avail, 0, 0)
+    expand(avail, 0, 0)
     return best_size, best_mask
 
 

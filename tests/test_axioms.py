@@ -20,7 +20,8 @@ from chemspace.axioms import (
 )
 from chemspace.circles import max_independent_set, threshold_adjacency
 from chemspace.distances import gather_submatrix
-from chemspace.measures import MeasureSpec
+from chemspace.errors import MeasureParamError
+from chemspace.measures import MeasureSpec, validate_spec
 
 SUBADDITIVE_SPECS = [
     MeasureSpec("richness"),
@@ -325,26 +326,129 @@ def test_two_circles_thresholds_share_each_world(monkeypatch):
 
 def test_table_draws_each_random_world_once(monkeypatch):
     sizes = []
-    draw = axioms.random_world
+    build = axioms._build_worlds
 
-    def counted(rng, size):
-        sizes.append(size)
-        return draw(rng, size)
+    def counted(draws, *args):
+        sizes.extend(size for size, _ in draws)
+        return build(draws, *args)
 
-    monkeypatch.setattr(axioms, "random_world", counted)
-    for trials in (1, 50):
+    monkeypatch.setattr(axioms, "_build_worlds", counted)
+    block = axioms._BLOCK
+    for trials in (1, 50, block + 1):
         sizes.clear()
         quadrant_table(trials=trials, seed=0)
         # richness has no constructions and holds, so it alone sees all
-        # ``trials`` worlds; coverage and circles share them.
+        # ``trials`` worlds; coverage and circles share them. No block draws
+        # past what the open specs still need.
         assert len(sizes) == trials
     # With one construction each, every spec stops after trials - 1 worlds.
     one_each = _harmless_constructions("circles")
     monkeypatch.setattr(axioms, "_seed_worlds", lambda kind: one_each)
-    for trials in (1, 2, 50):
+    for trials in (1, 2, 50, block + 2):
         sizes.clear()
         quadrant_table(trials=trials, seed=0)
         assert len(sizes) == trials - 1
+
+
+def _reference_world(u, size, dup_prob=0.15):
+    """The matrix, keys and fragments of a world read point by point from its
+    ``14 * size`` uniforms, as ``random_world`` describes."""
+    flags, sources = u[:size].tolist(), u[size : 2 * size].tolist()
+    root = list(range(size))
+    for i in range(1, size):
+        if flags[i] < dup_prob:
+            root[i] = root[int(sources[i] * i)]
+    pts = u[2 * size : 5 * size].reshape(size, 3)[root]
+    order = np.argsort(u[6 * size :].reshape(size, 8), axis=1).tolist()
+    fragments = [
+        frozenset(f"f{k}" for k in row[: int(3 * x) + 1])
+        for row, x in zip(order, u[5 * size : 6 * size].tolist())
+    ]
+    diff = pts[:, None, :] - pts[None, :, :]
+    matrix = np.sqrt((diff**2).sum(axis=2)) / np.sqrt(3.0)
+    return matrix, [f"p{r}" for r in root], [fragments[r] for r in root]
+
+
+def _one_world_at_a_time(seed, count):
+    """The first ``count`` worlds of a seed's search stream and their splits,
+    drawn one world at a time and built by ``_reference_world``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        size = int(rng.integers(2, 13))
+        world = _reference_world(rng.random(14 * size), size)
+        roles = (4 * rng.random(size)).astype(np.int64).tolist()
+        s1 = [i for i, role in enumerate(roles) if role & 1]
+        s2 = [i for i, role in enumerate(roles) if role & 2]
+        out.append((world, s1, s2))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_draws_equal_one_world_at_a_time(seed, monkeypatch):
+    splits = []
+    draw = axioms._random_splits
+
+    def recorded(rng, count):
+        for split in draw(rng, count):
+            splits.append(split)
+            yield split
+
+    monkeypatch.setattr(axioms, "_random_splits", recorded)
+    reference = _one_world_at_a_time(seed, 3000)
+    block = axioms._BLOCK
+    for count in (1, block - 1, block, block + 1, 3000):
+        splits.clear()
+        # richness has no constructions and holds: the search draws ``count``
+        # worlds, in blocks, from the seed's stream.
+        assert check_subadditivity(MeasureSpec("richness"), count, seed).holds
+        assert len(splits) == count
+        for (world, s1, s2), ((matrix, keys, fragments), r1, r2) in zip(splits, reference):
+            assert world.matrix.tobytes() == matrix.tobytes()
+            assert world.keys == keys and world.fragments == fragments
+            assert world.key_codes.tolist() == [int(key[1:]) for key in keys]
+            assert (s1, s2) == (r1, r2)
+    # random_world, the one-world case of the same builder, reads the same.
+    rng, again = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in (0, 1, 12, 30):
+        world = random_world(rng, size, dup_prob=0.4)
+        matrix, keys, fragments = _reference_world(again.random(14 * size), size, dup_prob=0.4)
+        assert world.matrix.tobytes() == matrix.tobytes()
+        assert world.keys == keys and world.fragments == fragments
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (MeasureSpec("circles"), "circles requires parameter t"),
+        (MeasureSpec("nosuch"), "unknown measure kind: 'nosuch'"),
+        (MeasureSpec("circles", {"t": 1.5}), "circles threshold t must be in [0,1), got 1.5"),
+        (MeasureSpec("diversity", {"foo": 1}), "diversity has no parameter 'foo'; it takes none"),
+    ],
+    ids=["circles-without-t", "unknown-kind", "circles-t-out-of-range", "unknown-parameter"],
+)
+def test_axiom_harness_refuses_specs_the_measure_table_refuses(spec, message):
+    with pytest.raises(MeasureParamError) as refused:
+        validate_spec(spec)
+    assert str(refused.value) == message
+    world = random_world(np.random.default_rng(0), 4)
+    checks = (
+        lambda: check_subadditivity(spec, trials=5),
+        lambda: check_dissimilarity(spec),
+        lambda: quadrant_table(trials=5, specs=(MeasureSpec("richness"), spec)),
+        lambda: world_measure(spec, [0, 1], world),
+    )
+    for check in checks:
+        with pytest.raises(MeasureParamError) as raised:
+            check()
+        assert str(raised.value) == message
+
+
+def test_circles_dissimilarity_refuses_a_grid_threshold_out_of_range():
+    spec = MeasureSpec("circles", {"t": 0.5})
+    with pytest.raises(MeasureParamError, match=r"circles threshold t must be in \[0,1\), got 1.5"):
+        check_dissimilarity(spec, t_grid=[0.2, 1.5])
+    assert check_dissimilarity(spec, t_grid=[0.0, 0.2]).holds
 
 
 def test_world_zeroes_a_nonzero_diagonal():

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chemspace import circles
 from chemspace.circles import (
     DEFAULT_RESTARTS,
     EXACT,
@@ -11,6 +14,7 @@ from chemspace.circles import (
     _best_of_k,
     _clique_cover_bound,
     circles_exact,
+    greedy_pack_positions,
     max_independent_set,
     oracle_conflicts,
     packing_policy,
@@ -460,6 +464,68 @@ def test_masked_mis_matches_brute_force_and_reindexed_graph(n):
             assert all(adj[v] & mask == 0 for v in range(n) if mask >> v & 1)
             assert size == brute_force_mis(adj, avail)
             assert size == max_independent_set(induced_adjacency(adj, avail))[0]
+
+
+def graphs(max_n=14):
+    """A conflict graph on at most ``max_n`` points, as (n, edges, avail):
+    one flag per point pair, in ``combinations`` order, and the points to
+    solve on as a bitmask."""
+    return st.integers(0, max_n).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.integers(0, (1 << n) - 1),
+    ))
+
+
+def conflict_graph(n, edges):
+    """The conflict masks of n points with one edge flag per point pair."""
+    adj = [0] * n
+    for (i, j), edge in zip(combinations(range(n), 2), edges):
+        if edge:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+STAR = (4, [True, True, True, False, False, False], 0b1111)  # greedy takes the center
+FIVE_CYCLE = (5, [True, False, False, True, True, False, False, True, False, True], 0b11111)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example(STAR)
+@example(FIVE_CYCLE)
+def test_greedy_seeded_solver_is_exact_and_searches_only_below_the_bound(case):
+    n, edges, avail = case
+    adj = conflict_graph(n, edges)
+    searches = []
+    search = circles._branch_and_bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circles, "_branch_and_bound", lambda *args: searches.append(args) or search(*args))
+        size, mask = max_independent_set(adj, avail)
+    assert size == brute_force_mis(adj, avail)
+    assert mask & ~avail == 0 and mask.bit_count() == size
+    assert all(adj[v] & mask == 0 for v in range(n) if mask >> v & 1)
+    # The seed is one sphere-exclusion pass over avail in index order; branch
+    # and bound runs, once and from that packing, only when it is below the
+    # clique-cover bound, and otherwise the packing is the answer.
+    greedy = greedy_pack_positions(adj.__getitem__, order=[v for v in range(n) if avail >> v & 1])
+    seed = (len(greedy), sum(1 << v for v in greedy))
+    if len(greedy) < _clique_cover_bound(avail, adj):
+        assert searches == [(adj, avail, *seed)]
+    else:
+        assert searches == [] and (size, mask) == seed
+
+
+def test_greedy_seed_examples_take_both_paths():
+    # The star's greedy pass takes its center (1 < bound 3); the five-cycle's
+    # greedy pass is optimal (2) but its clique cover is not (3).
+    for (n, edges, avail), (greedy, bound, best) in ((STAR, (1, 3, 3)), (FIVE_CYCLE, (2, 3, 2))):
+        adj = conflict_graph(n, edges)
+        order = [v for v in range(n) if avail >> v & 1]
+        assert len(greedy_pack_positions(adj.__getitem__, order=order)) == greedy
+        assert _clique_cover_bound(avail, adj) == bound
+        assert max_independent_set(adj, avail)[0] == best
 
 
 def test_packing_policy_kinds(monkeypatch):
