@@ -31,23 +31,11 @@ _EXPORTS = {
         "Fingerprint",
         "MoleculeRecord",
         "load_dataset",
+        "load_universe",
         "tanimoto_distance",
         "write_dataset",
     ),
-    "measures": (
-        "MeasureResult",
-        "MeasureSpec",
-        "bottleneck",
-        "diameter",
-        "diversity",
-        "dpp",
-        "evaluate_measure",
-        "parse_measure_spec",
-        "richness",
-        "sum_bottleneck",
-        "sum_diameter",
-        "sum_diversity",
-    ),
+    "measures": ("MeasureResult", "MeasureSpec", "evaluate_measure", "parse_measure_spec"),
     "novelty": ("NoveltyContext", "novelty_circles", "novelty_diversity", "novelty_sum_bottleneck"),
     "protocols": (
         "CurveSeries",
@@ -56,7 +44,6 @@ _EXPORTS = {
         "protocol_growing",
         "threshold_sweep",
     ),
-    "reference": ("ReferenceSet", "coverage", "load_universe"),
     "stats": ("dtw", "spearman"),
     "synthetic": ("SyntheticConfig", "generate_synthetic"),
 }

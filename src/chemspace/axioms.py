@@ -397,12 +397,6 @@ def _splits(worlds: Iterator[World], codes: list[int]) -> Iterator[_Split]:
         yield world, [i for i, role in roles if role & 1], [i for i, role in roles if role & 2]
 
 
-def _random_split(rng: np.random.Generator) -> _Split:
-    """A random world of 2 to 12 points and two random, possibly overlapping
-    sets: the one-world case of ``_random_splits``."""
-    return next(_random_splits(rng, 1))
-
-
 def _pair_selections(world: World, s1: list[int], s2: list[int]) -> list[Selection | None]:
     """The selections of S1, S2 and S1 | S2 (each sorted, without repeats)
     that every open spec reads; None stands for an empty side."""

@@ -7,7 +7,7 @@ config + seed reproduces identical output apart from the volatile timing
 fields (``timestamp``, ``wall_time_s``).
 
 Only the modules every command shares are imported here; each command
-imports the protocol, axiom, novelty, reference and synthetic code it runs,
+imports the protocol, axiom, novelty and synthetic code it runs,
 so a process loads no more of the package than its command needs.
 """
 
@@ -30,7 +30,7 @@ from . import __version__
 from .circles import DEFAULT_RESTARTS
 from .distances import TanimotoOracle
 from .errors import ChemSpaceError, DatasetFormatError, MeasureParamError, ProtocolError
-from .fingerprints import Fingerprint, load_dataset, write_dataset
+from .fingerprints import Fingerprint, load_dataset, load_universe, write_dataset
 from .measures import (
     MEASURES,
     MeasureSpec,
@@ -48,6 +48,10 @@ VOLATILE_KEYS = ("timestamp", "wall_time_s")
 # the keys of ``NOVELTY_KINDS``.
 BIAS_CHOICES = ("uniform", "similar", "most-similar")
 NOVELTY_CHOICES = ("diversity", "sum_bottleneck", "circles")
+# The commands that hand --seed to numpy's generators, which refuse a
+# negative seed. measure, compare and novelty hand it only to a circles
+# packing, whose rules refuse it.
+RNG_SEEDED = ("axiom-check", "corr-fixed", "corr-growing", "sweep-t", "gen-synthetic")
 # Each repeat packs from --seed plus its number.
 COMPARE_READER = PolicyReader("compare", ("mode", "restarts"))
 
@@ -134,8 +138,6 @@ def _parse_measures(text: str) -> list[MeasureSpec]:
     for raw in specs:
         spec = parse_measure_spec(raw)
         if spec.kind == "coverage" and isinstance(spec.param("universe"), str):
-            from .reference import load_universe
-
             universe = load_universe(spec.param("universe"))
             params = dict(spec.params)
             params["universe"] = universe
@@ -495,6 +497,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in RNG_SEEDED and args.seed < 0:
+            raise ChemSpaceError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ChemSpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

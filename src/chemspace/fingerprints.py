@@ -11,7 +11,8 @@ A loaded ``Dataset`` is columns: ``ids``, ``words``, ``popcounts``, ``labels``,
 first use. It keeps no ``MoleculeRecord``. ``load_dataset`` splits a file
 into those columns in one pass, checks and decodes the fingerprint column in
 bulk, a block of rows at a time, and hands it to ``Dataset.from_columns``;
-no per-line object is kept.
+no per-line object is kept. ``load_universe`` reads the explicit fragment
+universe of a coverage measure.
 """
 
 from __future__ import annotations
@@ -340,6 +341,15 @@ def load_dataset(path: str | Path) -> Dataset:
         return Dataset.from_columns(ids, *decoded, labels, fragments)
     except DatasetFormatError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def load_universe(path: str | Path) -> frozenset[str]:
+    """Read an explicit fragment universe: one fragment id per line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return frozenset(line.strip() for line in lines if line.strip())
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:

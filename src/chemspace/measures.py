@@ -471,6 +471,13 @@ def dataset_readers(dataset: Dataset) -> dict[str, Callable[[Any], Any]]:
     return {"key_codes": key_codes, "label_codes": label_codes, "fragments": fragments}
 
 
+def _as_indices(subset) -> np.ndarray:
+    idx = np.asarray(list(subset), dtype=np.int64)
+    if idx.size != len(set(idx.tolist())):
+        raise ValueError("molecule sets cannot repeat indices")
+    return idx
+
+
 def dataset_selection(subset, dataset: Dataset | None = None, oracle=None) -> Selection:
     """Selection of dataset records. Circles packs by ``MEASURE_READER``'s
     policy on the subset's size, over masks read one oracle row at a time."""
@@ -491,8 +498,8 @@ class Measure:
     ``reads`` names its input: "distances", "keys", "labels" or "fragments".
     ``params`` names the parameters it takes; a spec giving any other is
     refused. Coverage's ``kind`` only labels the reference collection (FG,
-    RS, BM, as ``ReferenceSet.kind`` does) and is carried in the spec key. ``check(spec, size)`` rejects bad values of them (None: nothing
-    to check).
+    RS, BM or custom) and is carried in the spec key. ``check(spec, size)``
+    rejects bad values of them (None: nothing to check).
     ``batch(selection, spec)`` returns the value on a whole selection and its
     metadata. ``prefix(selection, spec)`` returns the growth curve: the value
     on the selection's first 1..n points, in its point order. Circles packs
@@ -590,46 +597,3 @@ def evaluate_measure(
     elif dataset is None:
         raise MeasureParamError(f"{spec.kind} requires a dataset")
     return evaluate_selection(spec, dataset_selection(subset, dataset, oracle))
-
-
-# ---------------------------------------------------------------------------
-# Public wrappers over (indices, oracle / dataset).
-
-def _as_indices(subset) -> np.ndarray:
-    idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size != len(set(idx.tolist())):
-        raise ValueError("molecule sets cannot repeat indices")
-    return idx
-
-
-def diversity(subset, oracle) -> float:
-    return evaluate_measure(MeasureSpec("diversity"), subset, oracle=oracle).value
-
-
-def sum_diversity(subset, oracle) -> float:
-    return evaluate_measure(MeasureSpec("sum_diversity"), subset, oracle=oracle).value
-
-
-def diameter(subset, oracle) -> float:
-    return evaluate_measure(MeasureSpec("diameter"), subset, oracle=oracle).value
-
-
-def sum_diameter(subset, oracle) -> float:
-    return evaluate_measure(MeasureSpec("sum_diameter"), subset, oracle=oracle).value
-
-
-def bottleneck(subset, oracle) -> float:
-    return evaluate_measure(MeasureSpec("bottleneck"), subset, oracle=oracle).value
-
-
-def sum_bottleneck(subset, oracle) -> float:
-    return evaluate_measure(MeasureSpec("sum_bottleneck"), subset, oracle=oracle).value
-
-
-def dpp(subset, oracle) -> float:
-    return evaluate_measure(MeasureSpec("dpp"), subset, oracle=oracle).value
-
-
-def richness(subset, dataset: Dataset) -> int:
-    """Number of unique fingerprint bit patterns among the selected records."""
-    return int(evaluate_measure(MeasureSpec("richness"), subset, dataset=dataset).value)

@@ -24,7 +24,7 @@ from chemspace.circles import circles_exact, oracle_conflicts, packing_policy, t
 from chemspace.cli import main as cli_main, strip_volatile
 from chemspace.distances import MatrixOracle, TanimotoOracle
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, write_dataset
-from chemspace.measures import MeasureSpec, diversity, dpp, richness, sum_bottleneck
+from chemspace.measures import MeasureSpec, evaluate_measure
 from chemspace.protocols import (
     DEFAULT_PROTOCOL_MEASURES,
     protocol_fixed,
@@ -174,17 +174,20 @@ def test_criterion_4_closed_form_anchors():
     worst = 0.0
     for b in np.linspace(0.0, 0.99, 50):
         oracle = MatrixOracle(np.array([[0.0, 1 - b], [1 - b, 0.0]]))
-        worst = max(worst, abs(dpp([0, 1], oracle) - (1 - b * b)))
+        value = evaluate_measure(MeasureSpec("dpp"), [0, 1], oracle=oracle).value
+        worst = max(worst, abs(value - (1 - b * b)))
     count = 0
     for a in np.linspace(0.1, 1.0, 10):
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             oracle = geodesic_oracle(a, a * frac)
-            worst = max(worst, abs(diversity([0, 1, 2], oracle) - 2 * a / 3))
+            value = evaluate_measure(MeasureSpec("diversity"), [0, 1, 2], oracle=oracle).value
+            worst = max(worst, abs(value - 2 * a / 3))
             count += 1
     assert count == 50
     for a in np.linspace(0.1, 1.0, 10):
         oracle = geodesic_oracle(a, a / 2)
-        worst = max(worst, abs(sum_bottleneck([0, 1, 2], oracle) - 1.5 * a))
+        value = evaluate_measure(MeasureSpec("sum_bottleneck"), [0, 1, 2], oracle=oracle).value
+        worst = max(worst, abs(value - 1.5 * a))
     ok = worst <= 1e-9
     criterion(
         4,
@@ -211,7 +214,7 @@ def test_criterion_5_richness_identity():
         oracle = TanimotoOracle(ds)
         policy = packing_policy("auto", seed=trial, size=n)
         packing = policy.pack(oracle_conflicts(oracle, range(n), t=0.0))
-        if packing.count != richness(range(n), ds):
+        if packing.count != evaluate_measure(MeasureSpec("richness"), range(n), dataset=ds).value:
             mismatches += 1
     criterion(
         5,

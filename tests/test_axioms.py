@@ -487,7 +487,7 @@ def test_random_world_reads_one_uniform_draw_per_world():
         assert random_world(rng, size).n == size
         assert rng.calls == ["random"]
     rng.calls.clear()
-    axioms._random_split(rng)
+    next(axioms._random_splits(rng, 1))
     assert rng.calls == ["integers", "random", "random"]
 
 
@@ -504,7 +504,7 @@ def test_search_values_equal_world_measure():
     rng = np.random.default_rng(13)
     empty_sides = 0
     for _ in range(500):
-        world, s1, s2 = axioms._random_split(rng)
+        world, s1, s2 = next(axioms._random_splits(rng, 1))
         union = sorted(set(s1) | set(s2))
         sides = axioms._pair_selections(world, s1, s2)
         empty_sides += sum(sel is None for sel in sides)

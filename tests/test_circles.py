@@ -23,7 +23,7 @@ from chemspace.circles import (
 from chemspace.distances import MatrixOracle, TanimotoOracle
 from chemspace.errors import MeasureParamError, MeasureSizeError
 from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
-from chemspace.measures import MEASURES, MeasureSpec, Selection, richness
+from chemspace.measures import MEASURES, MeasureSpec, Selection, evaluate_measure
 
 
 def pack(subset, oracle, t, mode="greedy", restarts=DEFAULT_RESTARTS, seed=0):
@@ -78,7 +78,8 @@ def test_exact_t_zero_equals_richness():
         ds = fingerprint_dataset(rng, int(rng.integers(1, 20)))
         oracle = TanimotoOracle(ds)
         idx = range(len(ds))
-        assert circles_exact(idx, oracle, t=0.0).count == richness(idx, ds)
+        richness = evaluate_measure(MeasureSpec("richness"), idx, dataset=ds).value
+        assert circles_exact(idx, oracle, t=0.0).count == richness
 
 
 def test_exact_all_pairs_beyond_threshold():
@@ -148,7 +149,8 @@ def test_greedy_t_zero_equals_richness():
         ds = fingerprint_dataset(rng, int(rng.integers(1, 100)))
         oracle = TanimotoOracle(ds)
         idx = range(len(ds))
-        assert pack(idx, oracle, t=0.0, restarts=2, seed=trial).count == richness(idx, ds)
+        richness = evaluate_measure(MeasureSpec("richness"), idx, dataset=ds).value
+        assert pack(idx, oracle, t=0.0, restarts=2, seed=trial).count == richness
 
 
 def test_greedy_deterministic_given_seed():

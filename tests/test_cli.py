@@ -370,6 +370,27 @@ ONE_LINE_ERRORS = {
         "compare --in {data} --measures circles:t=0.5,mode=greedy --repeats 2 --seed -1",
         "circles seed must be a non-negative integer, got -1",
     ),
+    # Every command that seeds numpy's generators refuses a negative seed before any work.
+    "axiom-check-negative-seed": (
+        "axiom-check --trials 10 --seed -1",
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "corr-fixed-negative-seed": (
+        "corr-fixed --in {data} --n 10 --runs 1 --seed -1",
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "corr-growing-negative-seed": (
+        "corr-growing --in {data} --n 10 --runs 1 --seed -1",
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "sweep-t-negative-seed": (
+        "sweep-t --in {data} --n 10 --runs 1 --seed -1",
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "gen-synthetic-negative-seed": (
+        "gen-synthetic --out {tmp}/g.tsv --seed -1",
+        "--seed must be a non-negative integer, got -1",
+    ),
     # Each repeat packs from --seed plus its number; a spec seed was ignored.
     "compare-circles-seed": (
         "compare --in {tmp}/missing.tsv --measures circles:t=0.5,seed=5 --repeats 3",
@@ -543,7 +564,7 @@ def test_corr_growing_with_dpp_loads_no_scipy(synthetic_tsv, tmp_path):
     assert [r["measure"] for r in read_json(tmp_path / "g.json")["results"]] == ["dpp", "diversity"]
 
 
-COMMAND_MODULES = ("axioms", "protocols", "novelty", "reference", "synthetic")
+COMMAND_MODULES = ("axioms", "protocols", "novelty", "synthetic")
 
 
 def _loaded_command_modules(code: str, args=()) -> list[str]:

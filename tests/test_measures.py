@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemspace.distances import MatrixOracle, TanimotoOracle
 from chemspace.errors import MeasureParamError, MeasureSizeError
@@ -8,23 +10,17 @@ from chemspace.measures import (
     MEASURES,
     MeasureSpec,
     _offdiag,
-    bottleneck,
-    diameter,
-    diversity,
-    dpp,
     dpp_from_dmatrix,
     evaluate_measure,
     parse_measure_spec,
-    richness,
-    sum_bottleneck,
     sum_bottleneck_from_dmatrix,
-    sum_diameter,
     sum_diameter_from_dmatrix,
-    sum_diversity,
     validate_spec,
 )
 
-ALL_DISTANCE_FNS = [diversity, sum_diversity, diameter, sum_diameter, bottleneck, sum_bottleneck, dpp]
+ALL_DISTANCE_FNS = (
+    "diversity", "sum_diversity", "diameter", "sum_diameter", "bottleneck", "sum_bottleneck", "dpp"
+)
 
 
 def geodesic_oracle(a, delta):
@@ -59,13 +55,14 @@ def cofactor_det(m):
 
 def test_diversity_single_pair():
     oracle = MatrixOracle(np.array([[0.0, 0.37], [0.37, 0.0]]))
-    assert diversity([0, 1], oracle) == pytest.approx(0.37, abs=1e-15)
+    assert evaluate_measure(MeasureSpec("diversity"), [0, 1], oracle=oracle).value == pytest.approx(0.37, abs=1e-15)
 
 
 def test_diversity_geodesic_constant_two_thirds():
     for delta in [0.1, 0.25, 0.5, 0.77]:
         oracle = geodesic_oracle(1.0, delta)
-        assert diversity([0, 1, 2], oracle) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        value = evaluate_measure(MeasureSpec("diversity"), [0, 1, 2], oracle=oracle).value
+        assert value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_diversity_matches_brute_force_average():
@@ -77,46 +74,47 @@ def test_diversity_matches_brute_force_average():
             if i != j:
                 total += oracle.row(i)[j]
     expected = total / (5 * 4)
-    assert diversity(range(5), oracle) == pytest.approx(expected, abs=1e-12)
+    value = evaluate_measure(MeasureSpec("diversity"), range(5), oracle=oracle).value
+    assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_sum_diversity_pair_and_identity():
     oracle = MatrixOracle(np.array([[0.0, 0.4], [0.4, 0.0]]))
-    assert sum_diversity([0, 1], oracle) == pytest.approx(0.8, abs=1e-15)
+    assert evaluate_measure(MeasureSpec("sum_diversity"), [0, 1], oracle=oracle).value == pytest.approx(0.8, abs=1e-15)
     rng = np.random.default_rng(5)
     for _ in range(10):
         oracle = random_metric_oracle(rng, 8)
-        assert sum_diversity(range(8), oracle) == pytest.approx(
-            8 * diversity(range(8), oracle), rel=1e-12
-        )
+        total = evaluate_measure(MeasureSpec("sum_diversity"), range(8), oracle=oracle).value
+        mean = evaluate_measure(MeasureSpec("diversity"), range(8), oracle=oracle).value
+        assert total == pytest.approx(8 * mean, rel=1e-12)
 
 
 def test_diameter_and_sum_diameter_row_maxima():
     # Geodesic triple with a=1, delta=0.5: row maxima are {1, 1, 0.5}.
     oracle = geodesic_oracle(1.0, 0.5)
-    assert diameter([0, 1, 2], oracle) == pytest.approx(1.0)
-    assert sum_diameter([0, 1, 2], oracle) == pytest.approx(2.5)
+    assert evaluate_measure(MeasureSpec("diameter"), [0, 1, 2], oracle=oracle).value == pytest.approx(1.0)
+    assert evaluate_measure(MeasureSpec("sum_diameter"), [0, 1, 2], oracle=oracle).value == pytest.approx(2.5)
 
 
 def test_equilateral_matrix():
     m = np.full((4, 4), 0.7)
     np.fill_diagonal(m, 0.0)
     oracle = MatrixOracle(m)
-    assert diameter(range(4), oracle) == pytest.approx(0.7)
-    assert sum_diameter(range(4), oracle) == pytest.approx(2.8)
-    assert bottleneck(range(4), oracle) == pytest.approx(0.7)
-    assert sum_bottleneck(range(4), oracle) == pytest.approx(2.8)
+    assert evaluate_measure(MeasureSpec("diameter"), range(4), oracle=oracle).value == pytest.approx(0.7)
+    assert evaluate_measure(MeasureSpec("sum_diameter"), range(4), oracle=oracle).value == pytest.approx(2.8)
+    assert evaluate_measure(MeasureSpec("bottleneck"), range(4), oracle=oracle).value == pytest.approx(0.7)
+    assert evaluate_measure(MeasureSpec("sum_bottleneck"), range(4), oracle=oracle).value == pytest.approx(2.8)
 
 
 def test_bottleneck_geodesic_midpoint():
     oracle = geodesic_oracle(1.0, 0.5)
-    assert bottleneck([0, 1, 2], oracle) == pytest.approx(0.5)
-    assert sum_bottleneck([0, 1, 2], oracle) == pytest.approx(1.5)
+    assert evaluate_measure(MeasureSpec("bottleneck"), [0, 1, 2], oracle=oracle).value == pytest.approx(0.5)
+    assert evaluate_measure(MeasureSpec("sum_bottleneck"), [0, 1, 2], oracle=oracle).value == pytest.approx(1.5)
 
 
 def test_near_duplicate_decreases_sum_bottleneck():
     spread = MatrixOracle(np.array([[0.0, 0.9], [0.9, 0.0]]))
-    base = sum_bottleneck([0, 1], spread)
+    base = evaluate_measure(MeasureSpec("sum_bottleneck"), [0, 1], oracle=spread).value
     with_dup = MatrixOracle(
         np.array(
             [
@@ -126,14 +124,15 @@ def test_near_duplicate_decreases_sum_bottleneck():
             ]
         )
     )
-    extended = sum_bottleneck([0, 1, 2], with_dup)
+    extended = evaluate_measure(MeasureSpec("sum_bottleneck"), [0, 1, 2], oracle=with_dup).value
     assert extended < base
 
 
 def test_dpp_two_points_closed_form():
     for b in [0.0, 0.3, 0.5, 0.99]:
         oracle = MatrixOracle(np.array([[0.0, 1 - b], [1 - b, 0.0]]))
-        assert dpp([0, 1], oracle) == pytest.approx(1 - b**2, abs=1e-9)
+        value = evaluate_measure(MeasureSpec("dpp"), [0, 1], oracle=oracle).value
+        assert value == pytest.approx(1 - b**2, abs=1e-9)
 
 
 def test_dpp_duplicate_is_zero():
@@ -145,7 +144,7 @@ def test_dpp_duplicate_is_zero():
         ]
     )
     oracle = MatrixOracle(m)
-    assert dpp([0, 1, 2], oracle) == pytest.approx(0.0, abs=1e-9)
+    assert evaluate_measure(MeasureSpec("dpp"), [0, 1, 2], oracle=oracle).value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dpp_matches_cofactor_expansion():
@@ -156,7 +155,8 @@ def test_dpp_matches_cofactor_expansion():
         sim = 1.0 - d
         np.fill_diagonal(sim, 1.0)
         expected = cofactor_det(sim)
-        assert dpp(range(6), oracle) == pytest.approx(expected, abs=1e-9)
+        value = evaluate_measure(MeasureSpec("dpp"), range(6), oracle=oracle).value
+        assert value == pytest.approx(expected, abs=1e-9)
 
 
 def test_dpp_negative_raw_kept_in_metadata():
@@ -188,21 +188,21 @@ def test_dpp_size_cap():
 def test_richness_counts_unique_patterns():
     fps = [[1, 0], [1, 0], [0, 1], [1, 1], [0, 0]]
     ds = Dataset([MoleculeRecord(f"m{i}", Fingerprint.from_bits(b)) for i, b in enumerate(fps)])
-    assert richness(range(5), ds) == 4
-    assert richness([], ds) == 0
+    assert evaluate_measure(MeasureSpec("richness"), range(5), dataset=ds).value == 4
+    assert evaluate_measure(MeasureSpec("richness"), [], dataset=ds).value == 0
 
 
 def test_empty_and_singleton_conventions():
     oracle = MatrixOracle(np.array([[0.0, 0.5], [0.5, 0.0]]))
-    for fn in ALL_DISTANCE_FNS:
-        assert fn([], oracle) == 0.0
-        assert fn([0], oracle) == 0.0
+    for kind in ALL_DISTANCE_FNS:
+        assert evaluate_measure(MeasureSpec(kind), [], oracle=oracle).value == 0.0
+        assert evaluate_measure(MeasureSpec(kind), [0], oracle=oracle).value == 0.0
 
 
 def test_repeated_indices_rejected():
     oracle = MatrixOracle(np.array([[0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="repeat"):
-        diversity([0, 0], oracle)
+        evaluate_measure(MeasureSpec("diversity"), [0, 0], oracle=oracle)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 12, 200])
@@ -273,6 +273,32 @@ def test_parse_measure_spec_validation():
         parse_measure_spec("circles:t=1.0")
     with pytest.raises(MeasureParamError, match="mode"):
         parse_measure_spec("circles:t=0.5,mode=fancy")
+
+
+# Values for every parameter a spec key carries, valid and invalid. Coverage
+# ``universe`` is left out: its key joins the ids with commas, which the
+# grammar reads as separate parameters. A coverage ``kind`` is drawn as a
+# name; one holding a comma or numeric text does not parse back either.
+SPEC_PARAM_VALUES = {
+    "t": st.one_of(st.floats(-0.5, 1.5, allow_nan=False), st.integers(-1, 2)),
+    "mode": st.sampled_from(["auto", "exact", "greedy", "fancy"]),
+    "restarts": st.integers(-2, 50),
+    "seed": st.integers(-2, 2**64),
+    "kind": st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(MEASURES)), st.data())
+def test_every_valid_spec_key_parses_back_to_the_spec(kind, data):
+    takes = [name for name in MEASURES[kind].params if name in SPEC_PARAM_VALUES]
+    names = data.draw(st.sets(st.sampled_from(takes))) if takes else set()
+    spec = MeasureSpec(kind, {name: data.draw(SPEC_PARAM_VALUES[name]) for name in names})
+    try:
+        validate_spec(spec)
+    except MeasureParamError:
+        return
+    assert parse_measure_spec(spec.key()) == spec
 
 
 @pytest.mark.parametrize(

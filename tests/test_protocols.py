@@ -11,15 +11,8 @@ from chemspace.measures import (
     MEASURES,
     MeasureSpec,
     Selection,
-    bottleneck,
     dataset_readers,
-    diameter,
-    diversity,
-    dpp,
-    richness,
-    sum_bottleneck,
-    sum_diameter,
-    sum_diversity,
+    evaluate_measure,
 )
 from chemspace.protocols import (
     BIAS_MODES,
@@ -126,25 +119,20 @@ def test_growth_trackers_match_direct_measures(small_dataset):
         MeasureSpec("circles", {"t": 0.7}),
     ]
     curves = growth_curves(ds, order, specs)
-    direct_fns = {
-        "diversity": diversity,
-        "sum_diversity": sum_diversity,
-        "diameter": diameter,
-        "sum_diameter": sum_diameter,
-        "bottleneck": bottleneck,
-        "sum_bottleneck": sum_bottleneck,
-    }
+    direct_kinds = ("diversity", "sum_diversity", "diameter", "sum_diameter", "bottleneck", "sum_bottleneck")
     for step in range(len(order)):
         values = {key: curve[step] for key, curve in curves.items()}
         prefix = [int(i) for i in order[: step + 1]]
-        for kind, fn in direct_fns.items():
-            assert values[kind] == pytest.approx(fn(prefix, oracle), abs=1e-9), (kind, step)
-        assert values["richness"] == richness(prefix, ds)
+        for kind in direct_kinds:
+            direct = evaluate_measure(MeasureSpec(kind), prefix, oracle=oracle).value
+            assert values[kind] == pytest.approx(direct, abs=1e-9), (kind, step)
+        assert values["richness"] == evaluate_measure(MeasureSpec("richness"), prefix, dataset=ds).value
         assert values["gold_standard"] == len({ds.labels[i] for i in prefix})
         # The packing curve equals a single greedy pass in arrival order.
         assert values["circles:t=0.7"] == ARRIVAL.pack(oracle_conflicts(oracle, prefix, 0.7)).count
         if step < 12:
-            assert values["dpp"] == pytest.approx(dpp(prefix, oracle), abs=1e-9)
+            direct = evaluate_measure(MeasureSpec("dpp"), prefix, oracle=oracle).value
+            assert values["dpp"] == pytest.approx(direct, abs=1e-9)
 
 
 def test_growth_tracker_dpp_freezes_on_duplicates():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from chemspace.errors import MissingFragmentsError
-from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord
-from chemspace.reference import ReferenceSet, coverage, load_universe
+from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, load_universe
+from chemspace.measures import MeasureSpec, evaluate_measure
 
 
 def annotated_dataset(frag_sets, labels=None):
@@ -22,28 +22,28 @@ def annotated_dataset(frag_sets, labels=None):
 
 def test_coverage_union_size():
     ds = annotated_dataset([{"a", "b"}, {"b", "c"}])
-    assert coverage([0, 1], ds) == 3
+    assert evaluate_measure(MeasureSpec("coverage"), [0, 1], dataset=ds).value == 3
 
 
 def test_coverage_empty_set():
     ds = annotated_dataset([{"a"}])
-    assert coverage([], ds) == 0
+    assert evaluate_measure(MeasureSpec("coverage"), [], dataset=ds).value == 0
 
 
 def test_coverage_missing_annotation_names_record():
     ds = annotated_dataset([{"a"}, None])
     with pytest.raises(MissingFragmentsError, match="m1"):
-        coverage([0, 1], ds)
+        evaluate_measure(MeasureSpec("coverage"), [0, 1], dataset=ds)
 
 
 def test_coverage_explicit_universe_caps_count():
     ds = annotated_dataset([{"a", "b", "z"}, {"c", "z"}])
-    ref = ReferenceSet(kind="FG", universe=frozenset({"a", "c"}))
-    assert coverage([0, 1], ds, ref) == 2
+    ref = MeasureSpec("coverage", {"kind": "FG", "universe": frozenset({"a", "c"})})
+    assert evaluate_measure(ref, [0, 1], dataset=ds).value == 2
     rng = np.random.default_rng(0)
     for _ in range(20):
         sub = [i for i in range(2) if rng.random() < 0.5]
-        assert coverage(sub, ds, ref) <= 2
+        assert evaluate_measure(ref, sub, dataset=ds).value <= 2
 
 
 def test_coverage_union_monotone_and_subadditive():
@@ -55,7 +55,9 @@ def test_coverage_union_monotone_and_subadditive():
         s1 = [i for i in range(10) if rng.random() < 0.5]
         s2 = [i for i in range(10) if rng.random() < 0.5]
         union = sorted(set(s1) | set(s2))
-        c1, c2, cu = coverage(s1, ds), coverage(s2, ds), coverage(union, ds)
+        c1, c2, cu = (
+            evaluate_measure(MeasureSpec("coverage"), side, dataset=ds).value for side in (s1, s2, union)
+        )
         assert max(c1, c2) <= cu <= c1 + c2
 
 
