@@ -287,17 +287,6 @@ def _subadditivity_side(
     return side, {"mu_s1": v1, "mu_s2": v2, "mu_union": vu}
 
 
-def _subadditivity_violation(
-    spec: MeasureSpec, world: World, s1, s2, tol: float = TOLERANCE
-) -> tuple[str, dict[str, float]] | None:
-    """``_subadditivity_side`` of the pair's three values on the world."""
-    union = sorted(set(s1) | set(s2))
-    return _subadditivity_side(
-        world_measure(spec, s1, world), world_measure(spec, s2, world),
-        world_measure(spec, union, world), tol,
-    )
-
-
 def _dissimilarity_violation(
     spec: MeasureSpec, v_mid: float, v_alt: float, tol: float = TOLERANCE
 ) -> tuple[str, dict[str, float]] | None:
@@ -438,7 +427,7 @@ def _search_subadditivity(
 
     for pos, spec in enumerate(specs):
         for trial_no, (description, world, s1, s2) in enumerate(seeded[pos], 1):
-            hit = _subadditivity_violation(spec, world, s1, s2, tol)
+            hit = _subadditivity_side(*_pair_values(spec, _pair_selections(world, s1, s2)), tol)
             if hit is not None:
                 found[pos] = refuted(pos, trial_no, hit, description, world, s1, s2)
                 break
@@ -488,7 +477,11 @@ def replay_counterexample(ce: Counterexample | dict[str, Any]) -> bool:
     tol = float(data.get("tolerance", TOLERANCE))
     stored, world = data["values"], data["world"]
     if data["check"] == "subadditivity":
-        hit = _subadditivity_violation(spec, World.from_payload(world), data["s1"], data["s2"], tol)
+        _check_spec(spec)
+        s1, s2 = (sorted(set(data[side])) for side in ("s1", "s2"))
+        hit = _subadditivity_side(
+            *_pair_values(spec, _pair_selections(World.from_payload(world), s1, s2)), tol
+        )
     elif data["check"] == "dissimilarity":
         if spec.kind == "circles":  # found at one threshold of the grid
             spec = MeasureSpec("circles", {"t": float(stored["t"])})

@@ -245,11 +245,12 @@ class PackingPolicy:
     def __post_init__(self):
         if self.kind not in ("exact", "best_of_k", "arrival"):
             raise ValueError(f"unknown packing policy kind: {self.kind!r}")
-        if not isinstance(self.restarts, int) or self.restarts < 1:
+        # A bool is refused: its spec key ("True") does not parse back.
+        if type(self.restarts) is not int or self.restarts < 1:
             raise MeasureParamError(
                 f"circles restarts must be a positive integer, got {self.restarts!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise MeasureParamError(
                 f"circles seed must be a non-negative integer, got {self.seed!r}"
             )

@@ -19,7 +19,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -352,27 +352,10 @@ def cmd_sweep_t(args) -> int:
 def cmd_gen_synthetic(args) -> int:
     from .synthetic import SyntheticConfig, generate_synthetic
 
-    config = SyntheticConfig(
-        classes=args.classes,
-        per_class=args.per_class,
-        width=args.width,
-        core_bits=args.core_bits,
-        flip_prob=args.flip_prob,
-    )
+    config = SyntheticConfig(args.classes, args.per_class, args.width, args.core_bits, args.flip_prob)
     dataset = generate_synthetic(config, seed=args.seed)
     write_dataset(dataset, args.out)
-    doc = _base_doc(
-        "gen-synthetic",
-        {
-            "classes": args.classes,
-            "per_class": args.per_class,
-            "width": args.width,
-            "core_bits": args.core_bits,
-            "flip_prob": args.flip_prob,
-            "seed": args.seed,
-            "out": str(args.out),
-        },
-    )
+    doc = _base_doc("gen-synthetic", {**asdict(config), "seed": args.seed, "out": str(args.out)})
     doc["records"] = len(dataset)
     sys.stdout.write(render_json(doc))
     return 0

@@ -6,13 +6,17 @@ the words once and count intersections as a BLAS product. Bit index 0 is
 the most significant bit of the first hex digit / the first character of a
 0/1 string.
 
-A loaded ``Dataset`` is columns: ``ids``, ``words``, ``popcounts``, ``labels``,
-``fragments``, ``classes`` and ``label_codes``, plus ``key_codes``, built on
-first use. It keeps no ``MoleculeRecord``. ``load_dataset`` splits a file
-into those columns in one pass, checks and decodes the fingerprint column in
-bulk, a block of rows at a time, and hands it to ``Dataset.from_columns``;
-no per-line object is kept. ``load_universe`` reads the explicit fragment
-universe of a coverage measure.
+This module is the one codec of the text format, each rule written once for
+a block of rows: ``is_bit_string`` (text of only 0/1 digits is a bit string,
+not hex), ``pack_bits``, ``decode_bit_strings``, ``decode_hex`` and
+``encode_rows``. A loaded ``Dataset`` is columns: ``ids``, ``words``,
+``popcounts``, ``labels``, ``fragments``, ``classes`` and ``label_codes``,
+plus ``key_codes``, built on first use. It keeps no ``MoleculeRecord``.
+``load_dataset`` splits a file into those columns in one pass, checks and
+decodes the fingerprint column in bulk, a block of rows at a time, and hands
+it to ``Dataset.from_columns``; ``write_dataset`` encodes ``words`` the same
+way. ``load_universe`` reads the explicit fragment universe of a coverage
+measure.
 """
 
 from __future__ import annotations
@@ -26,25 +30,55 @@ import numpy as np
 
 from .errors import DatasetFormatError, DimensionMismatchError
 
-_HEX_DIGITS = "0123456789abcdef"
-_HEX_CHARS = frozenset(_HEX_DIGITS)
-_DECODE_ROWS = 256  # rows per block when a loaded column is checked and decoded
-
-
-def _as_words(packed: np.ndarray) -> np.ndarray:
-    """Zero-pad packed bytes, most significant bit first, to whole 64-bit words."""
-    n_words = (packed.size + 7) // 8
-    buf = np.zeros(n_words * 8, dtype=np.uint8)
-    buf[: packed.size] = packed
-    return buf.view(np.uint64)
-
-
-def _unpack_bits(words: np.ndarray, width: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8))[:width]
+_HEX_DIGITS = b"0123456789abcdef"
+_DECODE_ROWS = 256  # rows per block when a column is decoded or encoded
 
 
 def words_per_fingerprint(width: int) -> int:
     return (width + 63) // 64
+
+
+def is_bit_string(text: str) -> bool:
+    """The format's one ambiguity rule: a text of only 0/1 digits is read as
+    a bit string, never as hex."""
+    return not text.strip("01")
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 values (n, width), bit 0 first, as zero-padded (n, words)
+    uint64 rows."""
+    packed = np.packbits(bits, axis=1)
+    words = np.zeros((len(bits), words_per_fingerprint(bits.shape[1])), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    return words
+
+
+def decode_bit_strings(texts: Sequence[str]) -> np.ndarray:
+    """Bit strings of one length as (n, words) uint64 rows."""
+    digits = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8) - ord("0")
+    return pack_bits(digits.reshape(len(texts), -1))
+
+
+def decode_hex(texts: Sequence[str]) -> np.ndarray:
+    """Lowercase hex texts of one length as (n, words) uint64 rows. Each text
+    is zero-padded to whole words, so an odd digit count ends in a zero nibble."""
+    pad = "0" * (-len(texts[0]) % 16)
+    words = np.frombuffer(bytes.fromhex(pad.join(texts) + pad), dtype=np.uint64)
+    return words.reshape(len(texts), -1)
+
+
+def encode_rows(words: np.ndarray, width: int, as_hex: bool) -> Iterator[str]:
+    """The text of each (n, words) uint64 row, a block of rows at a time:
+    ``width // 4`` hex digits (width divisible by 4), or ``width`` 0/1 digits."""
+    for start in range(0, len(words), _DECODE_ROWS):
+        block = np.ascontiguousarray(words[start : start + _DECODE_ROWS]).view(np.uint8)
+        if as_hex:
+            size, text = width // 4, block.tobytes().hex()
+        else:
+            size = width
+            text = (np.unpackbits(block, axis=1) + ord("0")).tobytes().decode("ascii")
+        step = len(text) // len(block)
+        yield from (text[i : i + size] for i in range(0, len(text), step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,42 +100,36 @@ class Fingerprint:
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1 or arr.size == 0 or not np.isin(arr, (0, 1)).all():
             raise ValueError("bits must be a nonempty 0/1 vector")
-        return cls(width=int(arr.size), words=_as_words(np.packbits(arr)))
+        return cls(width=int(arr.size), words=pack_bits(arr[None])[0])
 
     @classmethod
     def from_bitstring(cls, text: str) -> "Fingerprint":
-        if not text or set(text) - {"0", "1"}:
+        if not text or not is_bit_string(text):
             raise DatasetFormatError(f"not a 0/1 fingerprint string: {text!r}")
-        arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        return cls(width=len(text), words=_as_words(np.packbits(arr)))
+        return cls(width=len(text), words=decode_bit_strings([text])[0])
 
     @classmethod
     def from_hex(cls, text: str) -> "Fingerprint":
-        if not text or set(text) - _HEX_CHARS:
+        if not text or text.encode().translate(None, _HEX_DIGITS):
             raise DatasetFormatError(f"not a lowercase hex fingerprint: {text!r}")
-        packed = bytes.fromhex(text + "0" * (len(text) % 2))
-        return cls(width=4 * len(text), words=_as_words(np.frombuffer(packed, dtype=np.uint8)))
+        return cls(width=4 * len(text), words=decode_hex([text])[0])
 
     @classmethod
     def parse(cls, text: str) -> "Fingerprint":
-        """Parse either serialized form. Strings of only 0/1 characters are
-        read as raw bit strings; anything else must be lowercase hex."""
-        if not set(text) - {"0", "1"}:
-            return cls.from_bitstring(text)
-        return cls.from_hex(text)
+        """Parse either serialized form: a bit string when ``is_bit_string``
+        holds, else lowercase hex."""
+        return cls.from_bitstring(text) if is_bit_string(text) else cls.from_hex(text)
 
     def to_bits(self) -> np.ndarray:
-        return _unpack_bits(self.words, self.width)
+        return np.unpackbits(self.words.view(np.uint8))[: self.width]
 
     def to_bitstring(self) -> str:
-        return "".join("01"[b] for b in self.to_bits())
+        return next(encode_rows(self.words[None], self.width, as_hex=False))
 
     def to_hex(self) -> str:
         if self.width % 4 != 0:
             raise ValueError("hex form requires width divisible by 4")
-        value = int.from_bytes(self.words.view(np.uint8).tobytes(), "big")
-        value >>= self.words.size * 64 - self.width
-        return format(value, f"0{self.width // 4}x")
+        return next(encode_rows(self.words[None], self.width, as_hex=True))
 
     def popcount(self) -> int:
         return int(np.bitwise_count(self.words).sum())
@@ -227,22 +255,6 @@ class Dataset:
         return np.flatnonzero(member[self.label_codes])
 
 
-def _width_mismatch(
-    text: str, width: int, first_line: int, first_text: str, first_width: int
-) -> str:
-    """Why a fingerprint's width differs from the first record's, naming the
-    0/1-digit rule of ``Fingerprint.parse`` when either text falls under it."""
-    message = (
-        f"width {width} differs from width {first_width} of the first record, line {first_line}"
-    )
-    bit_strings = [repr(t) for t in (first_text, text) if not set(t) - {"0", "1"}]
-    if bit_strings:
-        message += (
-            f"; text of only 0/1 digits ({', '.join(bit_strings)}) is read as a bit string, not hex"
-        )
-    return message
-
-
 def _decode_column(texts: list[str]) -> tuple[int, np.ndarray] | None:
     """Width and packed (n, words) uint64 rows of a fingerprint column, read
     as ``Fingerprint.parse`` reads each text; None when a text is not a
@@ -250,33 +262,28 @@ def _decode_column(texts: list[str]) -> tuple[int, np.ndarray] | None:
 
     The column is checked and decoded in blocks of rows, so the temporaries
     stay small beside the column: per block, one alphabet test over the
-    joined text, the 0/1 rule per row and one width, then one
-    ``bytes.fromhex`` for its hex rows and one ``packbits`` for its
+    joined text, ``is_bit_string`` per row and one width, then one
+    ``decode_hex`` for its hex rows and one ``decode_bit_strings`` for its
     bit-string rows.
     """
     first = texts[0] if texts else ""
-    width = len(first) if not first.strip("01") else 4 * len(first)
-    n_bytes = (width + 7) // 8
-    pad = "0" * (width // 4 % 2)  # an odd digit count ends in a zero nibble
-    buf = np.zeros((len(texts), words_per_fingerprint(width) * 8), dtype=np.uint8)
+    width = len(first) if is_bit_string(first) else 4 * len(first)
+    words = np.zeros((len(texts), words_per_fingerprint(width)), dtype=np.uint64)
     for start in range(0, len(texts), _DECODE_ROWS):
         block = texts[start : start + _DECODE_ROWS]
-        if not all(block) or "".join(block).encode().translate(None, _HEX_DIGITS.encode()):
+        if not all(block) or "".join(block).encode().translate(None, _HEX_DIGITS):
             return None
-        is_bits = np.array([not text.strip("01") for text in block])
+        is_bits = np.array([is_bit_string(text) for text in block])
         lengths = np.array([len(text) for text in block])
         if (np.where(is_bits, lengths, 4 * lengths) != width).any():
             return None
-        rows = buf[start : start + len(block), :n_bytes]
+        rows = words[start : start + len(block)]
         hexes = [text for text, bits in zip(block, is_bits) if not bits]
         if hexes:
-            packed = np.frombuffer(bytes.fromhex(pad.join(hexes) + pad), dtype=np.uint8)
-            rows[~is_bits] = packed.reshape(len(hexes), n_bytes)
+            rows[~is_bits] = decode_hex(hexes)
         if len(hexes) < len(block):
-            joined = "".join(text for text, bits in zip(block, is_bits) if bits).encode()
-            digits = np.frombuffer(joined, dtype=np.uint8).reshape(-1, width) - ord("0")
-            rows[is_bits] = np.packbits(digits, axis=1)
-    return width, buf.view(np.uint64)
+            rows[is_bits] = decode_bit_strings([text for text, bits in zip(block, is_bits) if bits])
+    return width, words
 
 
 def _lines(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -289,7 +296,8 @@ def _lines(path: Path) -> Iterator[tuple[int, list[str]]]:
 
 def _first_bad_line(path: Path) -> DatasetFormatError:
     """The error of the first line, in file order, whose fields or fingerprint
-    break the format."""
+    break the format. A width that differs from the first record's names the
+    ambiguity rule when either text falls under it."""
     first: tuple[int, str, int] | None = None  # line, text and width of the first record
     for lineno, fields in _lines(path):
         if len(fields) < 2:
@@ -298,10 +306,13 @@ def _first_bad_line(path: Path) -> DatasetFormatError:
             fp = Fingerprint.parse(fields[1])
         except (DatasetFormatError, ValueError) as exc:
             return DatasetFormatError(f"{path}:{lineno}: {exc}")
-        if first is None:
-            first = (lineno, fields[1], fp.width)
-        elif fp.width != first[2]:
-            return DatasetFormatError(f"{path}:{lineno}: {_width_mismatch(fields[1], fp.width, *first)}")
+        first = first or (lineno, fields[1], fp.width)
+        if fp.width != first[2]:
+            message = (f"{path}:{lineno}: width {fp.width} differs from width {first[2]} "
+                       f"of the first record, line {first[0]}")
+            bits = ", ".join(repr(text) for text in (first[1], fields[1]) if is_bit_string(text))
+            rule = f"; text of only 0/1 digits ({bits}) is read as a bit string, not hex"
+            return DatasetFormatError(message + rule if bits else message)
     raise AssertionError("every line is well formed")
 
 
@@ -353,20 +364,20 @@ def load_universe(path: str | Path) -> frozenset[str]:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset back to TSV.
+    """Write a dataset back to TSV, its ``words`` encoded a block of rows at
+    a time by ``encode_rows``.
 
-    Fingerprints go out as hex when the width allows it, except that a hex
-    form consisting only of 0/1 characters would read back as a raw bit
-    string; if any record hits that case the whole file falls back to bit
-    strings so a round trip is always faithful.
+    Fingerprints go out as hex when the width allows it, unless some row's
+    hex form passes ``is_bit_string`` and would read back as a bit string;
+    then the whole file is bit strings, so a round trip is always faithful.
     """
     path = Path(path)
-    fps = [Fingerprint(dataset.width, row) for row in dataset.words]
-    use_hex = dataset.width % 4 == 0 and all(set(fp.to_hex()) - {"0", "1"} for fp in fps)
-    columns = zip(dataset.ids, fps, dataset.labels, dataset.fragments)
+    words, width = dataset.words, dataset.width
+    as_hex = width % 4 == 0 and not any(map(is_bit_string, encode_rows(words, width, True)))
+    columns = zip(dataset.ids, encode_rows(words, width, as_hex), dataset.labels, dataset.fragments)
     with path.open("w", encoding="utf-8") as fh:
-        for rec_id, fp, label, fragments in columns:
-            fields = [rec_id, fp.to_hex() if use_hex else fp.to_bitstring()]
+        for rec_id, text, label, fragments in columns:
+            fields = [rec_id, text]
             if label is not None or fragments is not None:
                 fields.append(label or "")
             if fragments is not None:

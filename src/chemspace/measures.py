@@ -65,7 +65,7 @@ class MeasureSpec:
 
 def _format_param(value: Any) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     if isinstance(value, frozenset):
         return ",".join(sorted(value))
     return str(value)
@@ -132,9 +132,20 @@ def _check_circles(spec: MeasureSpec, size: int | None) -> None:
     t = spec.param("t")
     if t is None:
         raise MeasureParamError("circles requires parameter t")
-    if not isinstance(t, (int, float)) or not 0.0 <= float(t) < 1.0:
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= float(t) < 1.0:
         raise MeasureParamError(f"circles threshold t must be in [0,1), got {t!r}")
     MEASURE_READER.policy(spec, size if spec.param("mode") == "exact" else None)
+
+
+def _check_coverage(spec: MeasureSpec, size: int | None) -> None:
+    """Refuse a kind text its spec key would not read back as: empty, with a
+    comma or outer spaces, or numeric."""
+    kind = spec.param("kind")
+    if isinstance(kind, str) and (not kind or "," in kind or _coerce_param(kind.strip()) != kind):
+        raise MeasureParamError(
+            f"coverage kind {kind!r} does not read back from its spec key; "
+            "give a name without commas or outer spaces that is not a number"
+        )
 
 
 @dataclass(frozen=True)
@@ -541,7 +552,7 @@ MEASURES: dict[str, Measure] = {
         lambda s, spec: _distinct_prefix(s.label_codes(s.indices))),
     "coverage": Measure(
         "fragments", lambda s, spec: (_covered(map(s.fragments, s.indices), spec), {}),
-        _covered_prefix, params=("kind", "universe")),
+        _covered_prefix, check=_check_coverage, params=("kind", "universe")),
     "diversity": Measure(
         "distances", lambda s, spec: (diversity_from_dmatrix(s.dmatrix, s.pair_sum), {}),
         lambda s, spec: _pair_sum_prefix(s.dmatrix, lambda k: (k + 1) * k)),

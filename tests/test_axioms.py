@@ -528,6 +528,10 @@ def test_random_search_counterexamples_replay(seed, monkeypatch):
     for result in refuted:
         assert result.counterexample.description == "random world search"
         assert replay_counterexample(result.counterexample), result.measure
+        # Replay reads each stored side sorted and without repeats.
+        stored = result.counterexample.to_dict()
+        shuffled = {side: stored[side][::-1] + stored[side][:1] for side in ("s1", "s2")}
+        assert replay_counterexample({**stored, **shuffled}), result.measure
 
 
 # sha256 of ``json.dumps`` (sorted keys) of the dissimilarity results below,

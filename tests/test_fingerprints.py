@@ -328,3 +328,57 @@ def test_ingestion_error_messages(case, tmp_path):
             with pytest.raises(DatasetFormatError) as err:
                 load_dataset(path)
         assert str(err.value) == message.format(path=path)
+
+
+def reference_words(text: str) -> bytes:
+    """The packed words of one 0/1 text, through Python integers: bit 0 is
+    the most significant bit of the first byte; the last word is zero-padded."""
+    n_words = (len(text) + 63) // 64
+    return (int(text, 2) << (64 * n_words - len(text))).to_bytes(8 * n_words, "big")
+
+
+@st.composite
+def bit_matrices(draw):
+    """The 0/1 texts of rows of one width; in half the matrices whose width
+    allows hex, some rows have a hex form of only 0/1 digits."""
+    width = draw(st.integers(1, 130) | st.sampled_from([1, 2, 3, 5, 6, 7, 10, 12, 20, 64, 68, 70, 128, 129]))
+    force = width % 4 == 0 and draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        if force and draw(st.booleans()):
+            digits = draw(st.text("01", min_size=width // 4, max_size=width // 4))
+            rows.append("".join(format(int(digit, 16), "04b") for digit in digits))
+        else:
+            rows.append(format(draw(st.integers(0, 2**width - 1)), f"0{width}b"))
+    return width, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_matrices(), st.data())
+def test_codec_round_trips_every_matrix(tmp_path_factory, matrix, data):
+    # The file is hex exactly when the width allows it and no row's hex form
+    # is only 0/1 digits; reading it back gives the same columns, and each
+    # text is what parse, to_hex and to_bitstring make of its row.
+    width, bit_texts = matrix
+    n = len(bit_texts)
+    labels = data.draw(st.lists(st.none() | st.sampled_from(["c1", "c2"]), min_size=n, max_size=n))
+    words = np.frombuffer(b"".join(map(reference_words, bit_texts)), dtype=np.uint64)
+    ds = Dataset.from_columns([f"m{i}" for i in range(n)], width, words.reshape(n, -1), labels, [None] * n)
+    hex_texts = [format(int(text, 2), f"0{width // 4}x") for text in bit_texts] if width % 4 == 0 else []
+    as_hex = width % 4 == 0 and all(set(text) - {"0", "1"} for text in hex_texts)
+    path = tmp_path_factory.mktemp("codec") / "db.tsv"
+    for block_rows in (3, fingerprints._DECODE_ROWS):
+        with mock.patch.object(fingerprints, "_DECODE_ROWS", block_rows):
+            write_dataset(ds, path)
+            back = load_dataset(path)
+        texts = [line.split("\t")[1] for line in path.read_text().splitlines()]
+        assert texts == (hex_texts if as_hex else bit_texts)
+        assert_same_columns(back, ds)
+    for i, text in enumerate(texts):
+        fp = Fingerprint(width, back.words[i])
+        assert Fingerprint.parse(text).words.tobytes() == back.words[i].tobytes()
+        assert Fingerprint.parse(text) == fp
+        assert (fp.to_hex() if as_hex else fp.to_bitstring()) == text
+        assert fp.to_bitstring() == bit_texts[i]
+        if width % 4 == 0:
+            assert fp.to_hex() == hex_texts[i]

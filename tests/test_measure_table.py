@@ -13,13 +13,21 @@ from chemspace.circles import (
     EXACT,
     ConflictMasks,
     _clique_cover_bound,
+    admits,
     packing_policy,
     threshold_adjacency,
 )
 from chemspace.cli import main
 from chemspace.distances import TanimotoOracle, gather_submatrix
 from chemspace.errors import MeasureParamError, MissingFragmentsError
-from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, load_dataset, write_dataset
+from chemspace.fingerprints import (
+    Dataset,
+    Fingerprint,
+    MoleculeRecord,
+    load_dataset,
+    tanimoto_distance,
+    write_dataset,
+)
 from chemspace.measures import (
     MEASURES,
     MeasureSpec,
@@ -30,6 +38,7 @@ from chemspace.measures import (
     evaluate_selection,
     parse_measure_spec,
 )
+from chemspace.novelty import NoveltyContext, novelty_circles
 from chemspace.protocols import (
     DEFAULT_PROTOCOL_MEASURES,
     FIXED_READER,
@@ -60,57 +69,6 @@ def annotated():
     return Dataset(records)
 
 
-def test_every_kind_agrees_across_entry_points(annotated):
-    ds = annotated
-    full = TanimotoOracle(ds).full_matrix()
-    world = World(
-        matrix=full,
-        keys=[ds.words[i].tobytes() for i in range(len(ds))],
-        fragments=list(ds.fragments),
-    )
-    readers = dataset_readers(ds)
-    universe = frozenset({"f0", "f2", "f4", "f7"})
-    shared = [MeasureSpec(k) for k in ["richness", *DISTANCE_KINDS, "coverage"]]
-    shared.append(MeasureSpec("coverage", {"universe": universe}))
-    rng = np.random.default_rng(8)
-    for size in range(1, 13):
-        subset = sorted(int(i) for i in rng.choice(len(ds), size=size, replace=False))
-        # A fresh oracle, so the library path builds its own submatrix.
-        oracle = TanimotoOracle(ds)
-
-        def library(spec):
-            return evaluate_measure(spec, subset, dataset=ds, oracle=oracle).value
-
-        def fixed(spec, seed=0):
-            policy = lambda s: replace(FIXED_READER.policy(s), seed=seed)
-            return evaluate_selection(spec, _fixed_selection(full, np.asarray(subset), readers, policy)).value
-
-        # The growth curves' last points: the growing-size protocol's path.
-        order = np.asarray(subset)
-        grown_sel = Selection(order, lambda: gather_submatrix(full, order), **readers)
-        grown = {
-            spec.key(): MEASURES[spec.kind].prefix(grown_sel, spec)[-1]
-            for spec in shared + [MeasureSpec("gold_standard"), MeasureSpec("circles", {"t": 0.6})]
-        }
-
-        for spec in shared:
-            value = library(spec)
-            assert fixed(spec) == value, (spec.key(), size)
-            assert world_measure(spec, subset, world) == value, (spec.key(), size)
-            assert grown[spec.key()] == pytest.approx(value, abs=1e-9), (spec.key(), size)
-        gs = MeasureSpec("gold_standard")
-        assert fixed(gs) == library(gs) == grown["gold_standard"]
-
-        # Circles: each path has its own policy; compare like with like.
-        exact = library(MeasureSpec("circles", {"t": 0.6, "mode": "exact"}))
-        assert world_measure(MeasureSpec("circles", {"t": 0.6}), subset, world) == exact
-        drawn = int(np.random.default_rng(5).integers(0, 2**31))
-        best_of_k = library(MeasureSpec("circles", {"t": 0.6, "mode": "greedy", "seed": drawn}))
-        assert fixed(MeasureSpec("circles", {"t": 0.6}), seed=drawn) == best_of_k
-        one_pass = library(MeasureSpec("circles", {"t": 0.6, "mode": "greedy", "restarts": 1}))
-        assert grown["circles:t=0.6"] == one_pass
-
-
 @st.composite
 def growth_orders(draw):
     """A small labeled dataset (duplicate fingerprints allowed, fragments on
@@ -128,6 +86,62 @@ def growth_orders(draw):
             fragments = None
         records.append(MoleculeRecord(f"m{i}", fp, f"c{draw(st.integers(0, 3))}", fragments))
     return Dataset(records), np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(growth_orders(), st.data())
+def test_every_kind_agrees_across_entry_points(case, data):
+    # One random set of n <= 12 records (widths 1-70, duplicates allowed) and
+    # a subset of it in a random order: the library, the fixed-size protocol's
+    # selection and the axiom world agree exactly on the same matrix, and the
+    # growth curve's last value within 1e-9; a candidate is novel at t exactly
+    # when it is admitted against every member, one member at a time.
+    ds, order = case
+    order = order[: data.draw(st.integers(1, len(ds)), label="size")]
+    subset = sorted(order.tolist())
+    t = data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.6, 0.75, 0.9]), label="t")
+    full = TanimotoOracle(ds).full_matrix()
+    keys = [ds.words[i].tobytes() for i in range(len(ds))]
+    world = World(full, keys=keys, fragments=list(ds.fragments))
+    readers = dataset_readers(ds)
+    shared = [MeasureSpec(k) for k in ["richness", "gold_standard", *DISTANCE_KINDS]]
+    if all(ds.fragments[i] is not None for i in subset):
+        shared += [MeasureSpec("coverage"), MeasureSpec("coverage", {"universe": frozenset("ace")})]
+
+    def library(spec, points=subset):
+        # A fresh oracle, so the library path builds its own submatrix.
+        return evaluate_measure(spec, points, dataset=ds, oracle=TanimotoOracle(ds)).value
+
+    def fixed(spec, seed=0):
+        policy = lambda s: replace(FIXED_READER.policy(s), seed=seed)
+        return evaluate_selection(spec, _fixed_selection(full, np.asarray(subset), readers, policy)).value
+
+    # The growth curve's last point: the growing-size protocol's path.
+    grown_sel = Selection(order, lambda: gather_submatrix(full, order), **readers)
+    circles = MeasureSpec("circles", {"t": t})
+    for spec in shared:
+        value = library(spec)
+        assert fixed(spec) == value, spec.key()
+        if spec.kind != "gold_standard":  # a world has no labels
+            assert world_measure(spec, subset, world) == value, spec.key()
+        last = MEASURES[spec.kind].prefix(grown_sel, spec)[-1]
+        assert last == pytest.approx(value, abs=1e-9), spec.key()
+
+    # Circles: each path has its own policy; compare like with like.
+    exact = library(MeasureSpec("circles", {"t": t, "mode": "exact"}))
+    assert world_measure(circles, subset, world) == exact
+    drawn = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    best_of_k = library(MeasureSpec("circles", {"t": t, "mode": "greedy", "seed": drawn}))
+    assert fixed(circles, seed=drawn) == best_of_k
+    # One greedy pass in the curve's order.
+    one_pass = library(MeasureSpec("circles", {"t": t, "mode": "greedy", "restarts": 1}), order)
+    assert MEASURES["circles"].prefix(grown_sel, circles)[-1] == one_pass
+
+    ctx = NoveltyContext.from_dataset(ds, members=subset, t=t)
+    fps = [Fingerprint(ds.width, ds.words[i]) for i in range(len(ds))]
+    for i, fp in enumerate(fps):
+        novel = all(admits(np.array([tanimoto_distance(fp, fps[m])]), t) for m in subset)
+        assert novelty_circles(i, ctx) == novelty_circles(fp, ctx) == int(novel), (i, t)
 
 
 # Kinds whose prefix kernel adds or multiplies in another order than batch.

@@ -275,16 +275,24 @@ def test_parse_measure_spec_validation():
         parse_measure_spec("circles:t=0.5,mode=fancy")
 
 
-# Values for every parameter a spec key carries, valid and invalid. Coverage
-# ``universe`` is left out: its key joins the ids with commas, which the
-# grammar reads as separate parameters. A coverage ``kind`` is drawn as a
-# name; one holding a comma or numeric text does not parse back either.
+# Values for every parameter a spec key carries, valid and invalid: bools
+# and numpy floats for the numbers, and coverage ``kind`` texts that are
+# numeric, have outer spaces or hold a comma. Coverage ``universe`` is left
+# out: its key joins the ids with commas, which the grammar reads as
+# separate parameters.
 SPEC_PARAM_VALUES = {
-    "t": st.one_of(st.floats(-0.5, 1.5, allow_nan=False), st.integers(-1, 2)),
+    "t": st.one_of(
+        st.floats(-0.5, 1.5, allow_nan=False), st.integers(-1, 2), st.booleans(),
+        st.floats(0, 1, exclude_max=True).map(np.float64),
+    ),
     "mode": st.sampled_from(["auto", "exact", "greedy", "fancy"]),
-    "restarts": st.integers(-2, 50),
-    "seed": st.integers(-2, 2**64),
-    "kind": st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True),
+    "restarts": st.one_of(st.integers(-2, 50), st.booleans()),
+    "seed": st.one_of(st.integers(-2, 2**64), st.booleans()),
+    "kind": st.one_of(
+        st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True),
+        st.sampled_from(["1", "-2", "1.5", "1e3", "nan", "inf", "1_0", " FG", "FG ", "a,b", ","]),
+        st.text(" ,.-_=:01aeFGin\t", max_size=5),
+    ),
 }
 
 
@@ -299,6 +307,25 @@ def test_every_valid_spec_key_parses_back_to_the_spec(kind, data):
     except MeasureParamError:
         return
     assert parse_measure_spec(spec.key()) == spec
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"kind": "1"}, "coverage kind '1' does not read back from its spec key"),
+        ({"kind": " FG"}, "coverage kind ' FG' does not read back"),
+        ({"kind": "a,b"}, "coverage kind 'a,b' does not read back"),
+        ({"kind": ""}, "coverage kind '' does not read back"),
+        ({"t": 0.5, "restarts": True}, "circles restarts must be a positive integer, got True"),
+        ({"t": 0.5, "seed": False}, "circles seed must be a non-negative integer, got False"),
+        ({"t": False}, "circles threshold t must be in \\[0,1\\), got False"),
+    ],
+)
+def test_values_whose_key_does_not_parse_back_are_refused(params, message):
+    spec = MeasureSpec("circles" if "t" in params else "coverage", params)
+    with pytest.raises(MeasureParamError, match=f"^{message}") as err:
+        validate_spec(spec)
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize(

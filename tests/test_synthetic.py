@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from chemspace.distances import TanimotoOracle
 from chemspace.errors import SyntheticConfigError
-from chemspace.fingerprints import load_dataset, write_dataset
+from chemspace.fingerprints import Dataset, Fingerprint, MoleculeRecord, load_dataset, write_dataset
 from chemspace.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -68,3 +70,59 @@ def test_config_validation():
         with pytest.raises(SyntheticConfigError):
             SyntheticConfig(**params)
     assert issubclass(SyntheticConfigError, ValueError)
+
+
+def record_built_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
+    """The generator as one record per member: per class the core's bits,
+    then one ``rng.random(width)`` of flips per member."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for c in range(config.classes):
+        core = np.zeros(config.width, dtype=np.uint8)
+        on = rng.choice(config.width, size=config.core_bits, replace=False)
+        core[on] = 1
+        label = f"class{c:03d}"
+        for s in range(config.per_class):
+            bits = core.copy()
+            if config.flip_prob > 0:
+                flips = rng.random(config.width) < config.flip_prob
+                bits ^= flips.astype(np.uint8)
+            records.append(
+                MoleculeRecord(id=f"syn-{c:03d}-{s:03d}", fp=Fingerprint.from_bits(bits), label=label)
+            )
+    return Dataset(records)
+
+
+SYNTHETIC_CONFIGS = {
+    "default": SyntheticConfig(),
+    "w70": SyntheticConfig(width=70, flip_prob=0.0),
+    "w2048": SyntheticConfig(width=2048, classes=10),
+}
+
+# sha256 of the gen-synthetic file, recorded when each member was its own record.
+PINNED_TSV_DIGESTS = {
+    ("default", 0): "89920a102bb3b89790f050e9b9354de2064828226ac704451016f8a865ccbeb6",
+    ("default", 1): "9246750f588bb07af467e90176622b8ed8f29f32ee3b2dc4dabb30c92071f142",
+    ("default", 2): "e0669d976f20a6ecf77e743eccf2982f469cc820f563aaa1e492721c93d4370f",
+    ("w70", 0): "1aa7d3ec6ac9aa82d63b8c397854e712b053ec2a62922cc419a7d57759f80da5",
+    ("w70", 1): "314e771675ae060497355077238623478d0565fedcd4647e4f10ac575d6dc3b9",
+    ("w70", 2): "8097952630278bc149555cf7dc823c6666ba906146f250de2050d7bb7ba9de1f",
+    ("w2048", 0): "62c2b165f857c003f67f62d65d62d68329be858f23784996864d6db2990a02ae",
+    ("w2048", 1): "5b0af81f830c838e71f848dd92f3bf966b5bcc6ba1ec54354010de0104c66871",
+    ("w2048", 2): "a879cf5dc159c93930ce8a4d1ffa8fb9fadd1a5ac24b673cf80037fba6e92332",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_TSV_DIGESTS))
+def test_generate_synthetic_equals_record_built_reference(tmp_path, name, seed):
+    config = SYNTHETIC_CONFIGS[name]
+    got, want = generate_synthetic(config, seed=seed), record_built_synthetic(config, seed)
+    assert got.ids == want.ids
+    assert got.width == want.width
+    assert got.words.tobytes() == want.words.tobytes()
+    assert got.labels == want.labels and got.fragments == want.fragments
+    write_dataset(got, tmp_path / "got.tsv")
+    write_dataset(want, tmp_path / "want.tsv")
+    written = (tmp_path / "got.tsv").read_bytes()
+    assert written == (tmp_path / "want.tsv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == PINNED_TSV_DIGESTS[name, seed]
